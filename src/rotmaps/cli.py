@@ -2,8 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 success, 1 property failure
 (an inconsistent map under ``verify``, a failed product check, an exhausted
-search budget), 2 malformed input or parameters.  Data goes to ``--output``
-or stdout; diagnostics (warnings, cloud summaries) go to stderr.
+search budget), 2 malformed input or parameters, or any other error.  Data
+goes to ``--output`` or stdout; diagnostics and one-line errors go to stderr.
 """
 
 from __future__ import annotations
@@ -98,16 +98,14 @@ def cmd_shift(args) -> int:
 def cmd_spectrum(args) -> int:
     a1 = _load_adj(args.path)
     if args.path2 is None:
-        spec = spectrum(a1, tol=args.tol)
+        spec = spectrum(a1)
         print(f"order {a1.order}")
         print(f"degree {a1.degree()}")
         for value in spec.values:
             print(f"{value:.12g}")
         return 0
     a2 = _load_adj(args.path2)
-    report = product_property_check(
-        a1, a2, spectrum_tol=args.spectrum_tol, jacobi_tol=args.tol
-    )
+    report = product_property_check(a1, a2, spectrum_tol=args.spectrum_tol)
 
     def mark(ok):
         return "PASS" if ok else "FAIL"
@@ -180,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues, or the product property check for two inputs")
     p.add_argument("path", type=Path)
     p.add_argument("path2", type=Path, nargs="?")
-    p.add_argument("--tol", type=float, default=1e-10, help="Jacobi off-diagonal target")
     p.add_argument("--spectrum-tol", type=float, default=1e-8,
                    help="tolerance for spectrum additivity (two-input mode)")
     p.set_defaults(func=cmd_spectrum)
@@ -205,6 +202,9 @@ def main(argv=None) -> int:
         return code
     except (RotmapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # e.g. RecursionError, MemoryError; Ctrl-C still propagates
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -30,11 +30,7 @@ class UnsupportedDegreeError(RotmapsError, ValueError):
 
 
 class ConvergenceError(RotmapsError, RuntimeError):
-    """The eigensolver did not reach its target off-diagonal norm within the sweep budget."""
-
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = float(residual)
+    """The LAPACK eigensolver (``np.linalg.eigvalsh``) failed to converge."""
 
 
 class SearchBudgetExceededError(RotmapsError, RuntimeError):

@@ -2,8 +2,8 @@
 
 Each test prints a single ``criterion N (...): PASS`` line when it holds
 (visible with ``pytest -v -s`` or on failure).  Tolerances are pinned here:
-exact integer equality for tables and counts, 1e-8 for spectra computed at
-Jacobi tolerance 1e-10.  Everything is seeded and deterministic.
+exact integer equality for tables and counts, 1e-8 for spectra computed by
+LAPACK ``eigvalsh``.  Everything is seeded and deterministic.
 """
 
 import numpy as np
@@ -32,7 +32,6 @@ from rotmaps import (
 from rotmaps.io import format_rot
 
 SPECTRUM_TOL = 1e-8
-JACOBI_TOL = 1e-10
 
 PINNED_FILES = {
     "cycle(5)": (cycle, (5,), "5 2\n2 5\n3 1\n4 2\n5 3\n1 4\n"),
@@ -128,10 +127,9 @@ def test_criterion_5_product_structure_suite():
         assert prod.degree() == d1 + d2, (name_g, name_h)
         assert prod.edge_count() == a1.order * a2.order * (d1 + d2) // 2, (name_g, name_h)
         expected = np.sort(
-            (spectrum(a1, JACOBI_TOL).values[:, None]
-             + spectrum(a2, JACOBI_TOL).values[None, :]).ravel()
+            (spectrum(a1).values[:, None] + spectrum(a2).values[None, :]).ravel()
         )[::-1]
-        actual = spectrum(prod, JACOBI_TOL).values
+        actual = spectrum(prod).values
         assert np.max(np.abs(actual - expected)) <= SPECTRUM_TOL, (name_g, name_h)
     print("criterion 5 (vertex/degree/edge counts and additive spectra on 10 pairs): PASS")
 
@@ -192,9 +190,7 @@ def test_criterion_9_shift_permutations():
 def test_criterion_10_petersen_step_1_is_prism():
     k2_adj = adjacency_from_rotation(k2())
     for n in range(3, 9):
-        gp_spec = spectrum(adjacency_from_rotation(generalized_petersen(n, 1)), JACOBI_TOL)
-        prism_spec = spectrum(
-            cartesian_adjacency(adjacency_from_rotation(cycle(n)), k2_adj), JACOBI_TOL
-        )
+        gp_spec = spectrum(adjacency_from_rotation(generalized_petersen(n, 1)))
+        prism_spec = spectrum(cartesian_adjacency(adjacency_from_rotation(cycle(n)), k2_adj))
         assert spectrum_deviation(gp_spec, prism_spec) <= SPECTRUM_TOL, n
     print("criterion 10 (GP(n,1) spectra match ring-times-edge products, n=3..8): PASS")

@@ -118,6 +118,27 @@ class TestAdjacencyCommands:
         assert main(["solve", adj, "--method", "backtrack", "--budget", "2"]) == 1
         assert "inconclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError])
+    def test_unexpected_error_is_one_line(self, tmp_path, capsys, monkeypatch, error):
+        def crash(args):
+            raise error("deep trouble")
+
+        monkeypatch.setattr("rotmaps.cli.cmd_solve", crash)
+        adj = write(tmp_path, "c4.adj", format_adj(adjacency_from_rotation(cycle(4))))
+        assert main(["solve", adj]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {error.__name__}: deep trouble"]
+        assert "Traceback" not in err
+
+    def test_interrupt_propagates(self, tmp_path, monkeypatch):
+        def interrupt(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("rotmaps.cli.cmd_solve", interrupt)
+        adj = write(tmp_path, "c4.adj", format_adj(adjacency_from_rotation(cycle(4))))
+        with pytest.raises(KeyboardInterrupt):
+            main(["solve", adj])
+
     def test_spectrum_single(self, tmp_path, capsys):
         adj = write(tmp_path, "c4.adj", format_adj(adjacency_from_rotation(cycle(4))))
         assert main(["spectrum", adj]) == 0

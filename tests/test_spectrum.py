@@ -1,8 +1,10 @@
-"""Eigensolver kernels and spectral properties of products.
+"""Spectra and spectral properties of products.
 
-np.linalg.eigvalsh is the independent oracle throughout; the package's own
-path is the cyclic Jacobi kernel.
+``spectrum`` is LAPACK ``eigvalsh`` itself, so its oracle is the closed-form
+spectra of standard families; eigvalsh stays the oracle for products.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,18 +14,21 @@ from rotmaps import (
     AdjacencyMatrix,
     ConvergenceError,
     MalformedInputError,
+    RotmapsError,
     Spectrum,
     adjacency_from_rotation,
     cartesian_adjacency,
+    complete,
+    complete_bipartite,
     cycle,
+    hypercube,
     product_property_check,
     spectrum,
     spectrum_deviation,
     sum_spectra,
 )
-from rotmaps import _kernels
-
-BACKENDS = _kernels.available_backends()
+from rotmaps.cli import main
+from rotmaps.io import format_adj
 
 K2_ADJ = AdjacencyMatrix([[0, 1], [1, 0]])
 K3_ADJ = AdjacencyMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -34,54 +39,30 @@ def eigvalsh_oracle(adj):
     return np.sort(np.linalg.eigvalsh(adj.matrix.astype(np.float64)))[::-1]
 
 
-class TestKernels:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("size,seed", [(5, 1), (20, 2), (60, 3)])
-    def test_random_symmetric_vs_oracle(self, backend, size, seed):
-        rng = np.random.default_rng(seed)
-        mat = rng.standard_normal((size, size))
-        mat = (mat + mat.T) / 2.0
-        values, sweeps, off = _kernels.jacobi_eigenvalues(mat, 1e-10, 60, backend)
-        assert off <= 1e-10
-        got = np.sort(values)[::-1]
-        expected = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        assert np.max(np.abs(got - expected)) < 1e-8
-
-    def test_backends_agree(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("numba not available")
-        mat = adjacency_from_rotation(cycle(9)).matrix
-        results = {
-            b: np.sort(_kernels.jacobi_eigenvalues(mat, 1e-10, 60, b)[0])
-            for b in BACKENDS
-        }
-        assert np.max(np.abs(results["numba"] - results["numpy"])) < 1e-9
-
-    def test_input_not_modified(self):
-        mat = K3_ADJ.matrix.astype(np.float64)
-        before = mat.copy()
-        _kernels.jacobi_eigenvalues(mat, 1e-10, 60)
-        assert np.array_equal(mat, before)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            _kernels.jacobi_eigenvalues(np.zeros((2, 3)), 1e-10, 60)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            _kernels.jacobi_eigenvalues(np.zeros((2, 2)), 1e-10, 60, "fortran")
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv(_kernels.ENV_BACKEND, "numpy")
-        assert _kernels.default_backend() == "numpy"
-
-    def test_env_flag_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(_kernels.ENV_BACKEND, "cuda")
-        with pytest.raises(ValueError):
-            _kernels.default_backend()
-
-
 class TestSpectrum:
+    @pytest.mark.parametrize("family,size", [
+        ("cycle", 3), ("cycle", 8), ("cycle", 13), ("cycle", 30),
+        ("complete", 4), ("complete", 7), ("complete", 12),
+        ("complete-bipartite", 2), ("complete-bipartite", 5), ("complete-bipartite", 9),
+        ("hypercube", 1), ("hypercube", 4), ("hypercube", 6),
+    ])
+    def test_closed_form(self, family, size):
+        if family == "cycle":
+            rot = cycle(size)
+            exact = 2 * np.cos(2 * np.pi * np.arange(size) / size)
+        elif family == "complete":
+            rot = complete(size)
+            exact = [size - 1] + [-1] * (size - 1)
+        elif family == "complete-bipartite":
+            rot = complete_bipartite(size)
+            exact = [size, -size] + [0] * (2 * size - 2)
+        else:
+            rot = hypercube(size)
+            exact = [size - 2 * k for k in range(size + 1) for _ in range(comb(size, k))]
+        spec = spectrum(adjacency_from_rotation(rot))
+        assert np.max(np.abs(spec.values - np.sort(exact)[::-1])) < 1e-8
+        assert 0 < spec.tolerance < 1e-12
+
     def test_k2(self):
         assert np.allclose(spectrum(K2_ADJ).values, [1.0, -1.0], atol=1e-10)
 
@@ -99,17 +80,23 @@ class TestSpectrum:
     def test_trace_zero(self):
         for name, rot in CORPUS[::7]:
             adj = adjacency_from_rotation(rot)
-            values = spectrum(adj, 1e-10).values
+            values = spectrum(adj).values
             assert abs(values.sum()) <= adj.order * 1e-10
 
-    def test_convergence_error_carries_residual(self):
-        with pytest.raises(ConvergenceError) as info:
-            spectrum(K3_ADJ, max_sweeps=0)
-        assert info.value.residual > 0
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, tmp_path, capsys):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def test_bad_tolerance(self):
-        with pytest.raises(MalformedInputError):
-            spectrum(K3_ADJ, tol=0.0)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError) as info:
+            spectrum(K3_ADJ)
+        assert isinstance(info.value, RotmapsError)
+        path = tmp_path / "k3.adj"
+        path.write_text(format_adj(K3_ADJ))
+        assert main(["spectrum", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
 
     def test_spectrum_invariants(self):
         with pytest.raises(MalformedInputError):
