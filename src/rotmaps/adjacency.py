@@ -142,17 +142,15 @@ def rotation_from_adjacency(adj: AdjacencyMatrix) -> RotationMatrix:
     d = adj.degree()
     if d < 1:
         raise RegularityError("graph has no edges; nothing to read")
-    rows = [adj.neighbors(v) for v in range(1, adj.order + 1)]
-    return RotationMatrix(np.vstack(rows))
+    return RotationMatrix(np.nonzero(adj.matrix)[1].reshape(adj.order, d) + 1)
 
 
 def adjacency_from_rotation(rot: RotationMatrix) -> AdjacencyMatrix:
     """Adjacency matrix of the graph a valid rotation map describes."""
     _require_valid(rot)
-    n = rot.num_vertices
+    n, d = rot.entries.shape
     arr = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        arr[v, rot.entries[v] - 1] = 1
+    arr[np.repeat(np.arange(n), d), rot.entries.ravel() - 1] = 1
     return AdjacencyMatrix(arr)
 
 

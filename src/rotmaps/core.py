@@ -13,6 +13,7 @@ All vertex ids and ports are 1-indexed, here and in every file format.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -79,6 +80,10 @@ class RotationMatrix:
     @property
     def degree(self) -> int:
         return int(self.entries.shape[1])
+
+    @functools.cached_property
+    def _report(self) -> ValidationReport:
+        return _check(self.entries)
 
     def row(self, v: int) -> np.ndarray:
         """Endpoints of the edges leaving vertex v, in port order."""
@@ -192,55 +197,56 @@ def validate(rot: RotationMatrix) -> ValidationReport:
     no repeated entry within a row, and w appears in row v exactly as often
     as v appears in row w.  It is additionally consistent when every column
     is a permutation of the vertex set, i.e. no vertex repeats in a column.
+
+    The report is computed once per map and cached on it.
     """
-    ent = rot.entries
+    return rot._report
+
+
+def _check(ent: np.ndarray) -> ValidationReport:
+    """Defects found by sorting the dart keys: O(n*d*log(n*d)) time, O(n*d) memory."""
     n, d = ent.shape
     violations: list[Violation] = []
 
-    ids = np.arange(1, n + 1)
-    for r, c in zip(*np.nonzero(ent == ids[:, None])):
+    def repeats(axis: str, index: np.ndarray):
+        """Sorted keys index*n + (w-1), one per (row or column, vertex) pair, and their counts."""
+        keys, counts = np.unique(index * n + (ent - 1), return_counts=True)
+        for key, k in zip(keys[counts > 1].tolist(), counts[counts > 1].tolist()):
+            a, w = divmod(key, n)
+            kind = f"duplicate-in-{axis}"
+            violations.append(
+                Violation(kind, (a + 1, w + 1),
+                          f"{kind} at {axis} {a + 1}: vertex {w + 1} appears {k} times")
+            )
+        return keys, counts
+
+    for r, c in zip(*np.nonzero(ent == np.arange(1, n + 1)[:, None])):
         violations.append(
             Violation("self-loop", (int(r) + 1, int(c) + 1),
                       f"self-loop at row {r + 1}, column {c + 1}")
         )
 
-    for v in range(n):
-        vals, counts = np.unique(ent[v], return_counts=True)
-        for w, k in zip(vals[counts > 1], counts[counts > 1]):
-            violations.append(
-                Violation("duplicate-in-row", (v + 1, int(w)),
-                          f"duplicate-in-row at row {v + 1}: vertex {w} appears {k} times")
-            )
-
-    # incidence counts[v][w] = number of times w is listed in row v
-    counts = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        np.add.at(counts[v], ent[v] - 1, 1)
-    for v, w in zip(*np.nonzero(counts > counts.T)):
+    keys, counts = repeats("row", np.arange(n)[:, None])
+    # the reverse pair (w, v) of key v*n + (w-1) has key (w-1)*n + v; absent keys count 0
+    rev = keys % n * n + keys // n
+    pos = np.minimum(np.searchsorted(keys, rev), keys.size - 1)
+    back = np.where(keys[pos] == rev, counts[pos], 0)
+    asym = counts > back
+    for key, k, b in zip(keys[asym].tolist(), counts[asym].tolist(), back[asym].tolist()):
+        v, w = divmod(key, n)
         violations.append(
             Violation(
-                "asymmetric-incidence", (int(v) + 1, int(w) + 1),
+                "asymmetric-incidence", (v + 1, w + 1),
                 f"asymmetric-incidence at row {v + 1}: vertex {w + 1} appears "
-                f"{counts[v, w]} times but row {w + 1} lists vertex {v + 1} "
-                f"{counts[w, v]} times",
+                f"{k} times but row {w + 1} lists vertex {v + 1} {b} times",
             )
         )
 
-    for i in range(d):
-        vals, cnt = np.unique(ent[:, i], return_counts=True)
-        for w, k in zip(vals[cnt > 1], cnt[cnt > 1]):
-            violations.append(
-                Violation("duplicate-in-column", (i + 1, int(w)),
-                          f"duplicate-in-column at column {i + 1}: vertex {w} appears {k} times")
-            )
+    repeats("column", np.arange(d))
 
-    n_structural = sum(v.kind in MAP_VIOLATION_KINDS for v in violations)
-    is_valid = n_structural == 0
-    return ValidationReport(
-        is_valid_map=is_valid,
-        is_consistent=is_valid and len(violations) == 0,
-        violations=tuple(violations),
-    )
+    is_valid = not any(v.kind in MAP_VIOLATION_KINDS for v in violations)
+    return ValidationReport(is_valid_map=is_valid, is_consistent=is_valid and not violations,
+                            violations=tuple(violations))
 
 
 def _require_valid(rot: RotationMatrix) -> ValidationReport:
@@ -270,17 +276,12 @@ def to_full_form(rot: RotationMatrix) -> RotationTable:
     _require_valid(rot)
     ent = rot.entries
     n, d = ent.shape
-    ports = np.zeros((n, d), dtype=np.int64)
-    for v in range(1, n + 1):
-        for i in range(1, d + 1):
-            w = int(ent[v - 1, i - 1])
-            hits = np.nonzero(ent[w - 1] == v)[0]
-            if hits.size != 1:  # unreachable for valid maps
-                raise InvalidRotationMapError(
-                    f"vertex {v} appears {hits.size} times in row {w}; cannot recover the return port"
-                )
-            ports[v - 1, i - 1] = int(hits[0]) + 1
-    return RotationTable(entries=ent, ports=ports)
+    # dart (v, i) has key (v-1)*n + (w-1) and its partner (w, j) the reverse
+    # key (w-1)*n + (v-1): one sort pairs them in O(n*d) memory
+    keys = (np.arange(n)[:, None] * n + (ent - 1)).ravel()
+    order = np.argsort(keys)
+    partner = order[np.searchsorted(keys[order], (ent - 1) * n + np.arange(n)[:, None])]
+    return RotationTable(entries=ent, ports=partner % d + 1)
 
 
 def incoming_labels(rot: RotationMatrix, w: int) -> list[int]:

@@ -18,7 +18,7 @@ import json
 
 import numpy as np
 
-from .core import Dart, RotationMatrix, to_full_form, validate
+from .core import RotationMatrix, to_full_form, validate
 from .adjacency import AdjacencyMatrix
 from .exceptions import MalformedInputError
 from .shift import ShiftPermutation, verify_unitary
@@ -42,10 +42,47 @@ def _parse_int(token: str, what: str) -> int:
         raise MalformedInputError(f"{what}: {token!r} is not an integer") from None
 
 
+def _read_header(text: str, kind: str, form: str) -> tuple[list[str], int, int]:
+    """Lines of a .rot or .perm file and its two positive header values."""
+    lines = text.splitlines()
+    if not lines:
+        raise MalformedInputError(f"empty {kind} file")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise MalformedInputError(f"header must be '{form}', got {lines[0]!r}")
+    n = _parse_int(header[0], "header vertex count")
+    d = _parse_int(header[1], "header degree")
+    if n < 1 or d < 1:
+        raise MalformedInputError(f"header values must be positive, got {n} {d}")
+    return lines, n, d
+
+
+def _format_rows(header: str, table: np.ndarray) -> str:
+    """``header`` then one line per table row, its entries space-separated."""
+    rows, width = table.shape
+    line = " ".join(["%d"] * width) + "\n"
+    return f"{header}\n" + line * rows % tuple(table.ravel().tolist())
+
+
+def _int_rows(lines: list[str], width: int) -> np.ndarray | None:
+    """The lines as an int64 table, or None unless each holds ``width`` int64 values.
+
+    Joined with a token no integer matches, the tokens of well-formed lines
+    have separators at every (width+1)-th place; any other layout puts a
+    separator among the values, where ``int`` rejects it.
+    """
+    tokens = " | ".join(lines).split()
+    if len(tokens) != len(lines) * (width + 1) - 1:
+        return None
+    del tokens[width::width + 1]
+    try:
+        return np.array(list(map(int, tokens)), dtype=np.int64).reshape(len(lines), width)
+    except (ValueError, OverflowError):
+        return None
+
+
 def format_rot(rot: RotationMatrix) -> str:
-    lines = [f"{rot.num_vertices} {rot.degree}"]
-    lines.extend(" ".join(str(int(w)) for w in row) for row in rot.entries)
-    return "\n".join(lines) + "\n"
+    return _format_rows(f"{rot.num_vertices} {rot.degree}", rot.entries)
 
 
 def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
@@ -55,25 +92,19 @@ def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
     the format contract); pass ``require_valid_map=False`` to get the raw
     table for diagnostic reporting.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise MalformedInputError("empty rotation file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MalformedInputError(f"header must be 'n d', got {lines[0]!r}")
-    n = _parse_int(header[0], "header vertex count")
-    d = _parse_int(header[1], "header degree")
-    if n < 1 or d < 1:
-        raise MalformedInputError(f"header values must be positive, got {n} {d}")
+    lines, n, d = _read_header(text, "rotation", "n d")
     if len(lines) - 1 != n:
         raise MalformedInputError(f"expected {n} rows after the header, got {len(lines) - 1}")
-    rows = []
-    for number, line in enumerate(lines[1:], start=1):
-        parts = line.split()
-        if len(parts) != d:
-            raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
-        rows.append([_parse_int(p, f"row {number}") for p in parts])
-    rot = RotationMatrix(np.array(rows, dtype=np.int64))
+    table = _int_rows(lines[1:], d)
+    if table is None:  # name the first malformed row
+        rows = []
+        for number, line in enumerate(lines[1:], start=1):
+            parts = line.split()
+            if len(parts) != d:
+                raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
+            rows.append([_parse_int(p, f"row {number}") for p in parts])
+        table = np.array(rows, dtype=np.int64)
+    rot = RotationMatrix(table)
     if require_valid_map:
         report = validate(rot)
         if not report.is_valid_map:
@@ -110,43 +141,37 @@ def parse_adj(text: str) -> AdjacencyMatrix:
 
 
 def format_perm(shift: ShiftPermutation) -> str:
-    lines = [f"{shift.num_vertices} {shift.degree}"]
-    for index in range(1, shift.size + 1):
-        v, i = shift.dart_at(index)
-        w, j = shift.dart_at(shift.apply(index))
-        lines.append(f"{v} {i} {w} {j}")
-    return "\n".join(lines) + "\n"
+    d = shift.degree
+    src, dst = np.arange(shift.size), shift.images - 1
+    darts = np.stack([src // d + 1, src % d + 1, dst // d + 1, dst % d + 1], axis=1)
+    return _format_rows(f"{shift.num_vertices} {d}", darts)
 
 
 def parse_perm(text: str) -> ShiftPermutation:
     """Strict parse of the .perm format; the pairs must form an involutive permutation."""
-    lines = text.splitlines()
-    if not lines:
-        raise MalformedInputError("empty permutation file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MalformedInputError(f"header must be 'N d', got {lines[0]!r}")
-    n = _parse_int(header[0], "header vertex count")
-    d = _parse_int(header[1], "header degree")
-    if n < 1 or d < 1:
-        raise MalformedInputError(f"header values must be positive, got {n} {d}")
+    lines, n, d = _read_header(text, "permutation", "N d")
     size = n * d
     if len(lines) - 1 != size:
         raise MalformedInputError(f"expected {size} dart lines, got {len(lines) - 1}")
+    darts = _int_rows(lines[1:], 4)
     images = np.zeros(size, dtype=np.int64)
-    seen = np.zeros(size, dtype=bool)
-    for number, line in enumerate(lines[1:], start=1):
-        parts = line.split()
-        if len(parts) != 4:
-            raise MalformedInputError(f"line {number}: expected 'v i w j', got {line!r}")
-        v, i, w, j = (_parse_int(p, f"line {number}") for p in parts)
-        if not (1 <= v <= n and 1 <= i <= d and 1 <= w <= n and 1 <= j <= d):
-            raise MalformedInputError(f"line {number}: dart out of range: {line!r}")
-        src = (v - 1) * d + i
-        if seen[src - 1]:
-            raise MalformedInputError(f"line {number}: dart ({v}, {i}) listed twice")
-        seen[src - 1] = True
-        images[src - 1] = (w - 1) * d + j
+    if darts is not None and ((darts >= 1) & (darts <= [n, d, n, d])).all():
+        images[(darts[:, 0] - 1) * d + darts[:, 1] - 1] = (darts[:, 2] - 1) * d + darts[:, 3]
+    # one line per dart, so an unset image means some dart was listed twice
+    if not images.all():  # name the first malformed line
+        seen = np.zeros(size, dtype=bool)
+        for number, line in enumerate(lines[1:], start=1):
+            parts = line.split()
+            if len(parts) != 4:
+                raise MalformedInputError(f"line {number}: expected 'v i w j', got {line!r}")
+            v, i, w, j = (_parse_int(p, f"line {number}") for p in parts)
+            if not (1 <= v <= n and 1 <= i <= d and 1 <= w <= n and 1 <= j <= d):
+                raise MalformedInputError(f"line {number}: dart out of range: {line!r}")
+            src = (v - 1) * d + i
+            if seen[src - 1]:
+                raise MalformedInputError(f"line {number}: dart ({v}, {i}) listed twice")
+            seen[src - 1] = True
+            images[src - 1] = (w - 1) * d + j
     shift = ShiftPermutation(num_vertices=n, degree=d, images=images)
     if not verify_unitary(shift):
         raise MalformedInputError("dart pairs do not form an involutive permutation")
@@ -159,14 +184,12 @@ def format_dot(rot: RotationMatrix) -> str:
     The lower-numbered endpoint's port comes first.
     """
     table = to_full_form(rot)
-    lines = ["graph G {"]
-    for v in range(1, rot.num_vertices + 1):
-        for i in range(1, rot.degree + 1):
-            w, j = table.image(Dart(v, i))
-            if v < w:
-                lines.append(f'  {v} -- {w} [label="{i}|{j}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    n, d = table.entries.shape
+    darts = np.stack([np.repeat(np.arange(1, n + 1), d), table.entries.ravel(),
+                      np.tile(np.arange(1, d + 1), n), table.ports.ravel()], axis=1)
+    edges = darts[darts[:, 0] < darts[:, 1]]
+    lines = '  %d -- %d [label="%d|%d"];\n' * len(edges) % tuple(edges.ravel().tolist())
+    return "graph G {\n" + lines + "}\n"
 
 
 def format_json(rot: RotationMatrix) -> str:

@@ -107,22 +107,6 @@ class BlockLayout:
         object.__setattr__(self, "local_blocks", local)
         object.__setattr__(self, "bridge_blocks", bridge)
 
-    @property
-    def cloud_count(self) -> int:
-        return len(self.local_blocks)
-
-    @property
-    def cloud_size(self) -> int:
-        return int(self.local_blocks[0].shape[0])
-
-    @property
-    def inner_degree(self) -> int:
-        return int(self.local_blocks[0].shape[1])
-
-    @property
-    def bridge_degree(self) -> int:
-        return int(self.bridge_blocks[0].shape[1])
-
 
 def product_blocks(inner: RotationMatrix, outer: RotationMatrix) -> BlockLayout:
     """Blocks of the product map of two valid factor maps.
@@ -132,27 +116,16 @@ def product_blocks(inner: RotationMatrix, outer: RotationMatrix) -> BlockLayout:
     """
     _require_valid(inner)
     _require_valid(outer)
-    vg, dg = inner.num_vertices, inner.degree
-    vh, dh = outer.num_vertices, outer.degree
-    local = tuple(inner.entries + cl * vg for cl in range(vh))
-    bridge = []
-    base = np.arange(1, vg + 1, dtype=np.int64)
-    for i in range(vh):
-        block = np.empty((vg, dh), dtype=np.int64)
-        for k in range(dh):
-            target_cloud = int(outer.entries[i, k])
-            block[:, k] = base + (target_cloud - 1) * vg
-        bridge.append(block)
-    return BlockLayout(local_blocks=local, bridge_blocks=tuple(bridge))
+    vg, vh = inner.num_vertices, outer.num_vertices
+    local = inner.entries[None] + (np.arange(vh) * vg)[:, None, None]
+    bridge = np.arange(1, vg + 1)[None, :, None] + (outer.entries[:, None, :] - 1) * vg
+    return BlockLayout(local_blocks=tuple(local), bridge_blocks=tuple(bridge))
 
 
 def assemble(layout: BlockLayout) -> RotationMatrix:
     """Concatenate a block layout into one product rotation table."""
-    rows = [
-        np.hstack([loc, bri])
-        for loc, bri in zip(layout.local_blocks, layout.bridge_blocks)
-    ]
-    return RotationMatrix(np.vstack(rows))
+    local, bridge = np.vstack(layout.local_blocks), np.vstack(layout.bridge_blocks)
+    return RotationMatrix(np.hstack([local, bridge]))
 
 
 def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> RotationMatrix:

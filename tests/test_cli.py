@@ -1,5 +1,7 @@
 """Command-line behavior: flag grammar, exit codes, and byte-exact outputs."""
 
+import tracemalloc
+
 import pytest
 
 from rotmaps import adjacency_from_rotation, complete_bipartite, cycle, generalized_petersen
@@ -43,6 +45,20 @@ class TestGenerate:
     def test_hypercube(self, capsys):
         assert main(["generate", "--family", "hypercube", "--m", "2"]) == 0
         assert capsys.readouterr().out == "4 2\n2 3\n1 4\n4 1\n3 2\n"
+
+    def test_hypercube_15(self, tmp_path):
+        # 32 768 vertices: validating the Q14 factor must not need an n x n array
+        out = tmp_path / "q15.rot"
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--family", "hypercube", "--m", "15", "-o", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 200 * 2**20
+        lines = out.read_text().splitlines()
+        assert lines[0] == "32768 15" and len(lines) == 32769
 
 
 class TestProduct:

@@ -1,5 +1,7 @@
 """Core rotation-map checks: validation, consistency, full form, incoming ports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,15 @@ from rotmaps import (
     InvalidRotationMapError,
     MalformedInputError,
     RotationMatrix,
+    build_shift,
+    cartesian_rotation,
+    complete,
+    cycle,
     incoming_labels,
     is_consistent,
     to_full_form,
     validate,
+    verify_unitary,
 )
 
 # the consistent map of the 3-cycle; every dart pairing is pinned below
@@ -188,3 +195,45 @@ class TestIncomingLabels:
     def test_out_of_range(self):
         with pytest.raises(MalformedInputError):
             incoming_labels(RotationMatrix(TRIANGLE), 4)
+
+
+class TestScale:
+    def test_torus_of_100k_vertices_in_linear_memory(self):
+        # an n x n incidence array alone would take 80 GB here
+        rot = cartesian_rotation(cycle(400), cycle(250))
+        tracemalloc.start()
+        try:
+            report = validate(rot)
+            shift = build_shift(rot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.is_consistent and not report.violations
+        assert verify_unitary(shift)
+        assert peak < 200 * 2**20
+
+    def test_full_form_of_dense_map_in_linear_memory(self):
+        # K400 has 400*399 darts; a per-dart copy of the partner row would take 0.5 GB
+        rot = complete(400)
+        validate(rot)
+        tracemalloc.start()
+        try:
+            table = to_full_form(rot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.image(Dart(1, 1)) == Dart(2, 399)
+        assert peak < 50 * 2**20
+
+    def test_each_map_checked_once(self, monkeypatch):
+        from rotmaps import core
+        from rotmaps.io import format_rot, parse_rot
+
+        calls = []
+        check = core._check
+        monkeypatch.setattr(core, "_check", lambda ent: calls.append(ent.shape) or check(ent))
+        rot = parse_rot(format_rot(cycle(7)))
+        assert validate(rot) is validate(rot)
+        build_shift(rot)
+        to_full_form(rot)
+        assert calls == [(7, 2)]

@@ -65,6 +65,23 @@ class TestRotFormat:
         with pytest.raises(MalformedInputError):
             parse_rot(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("2 1\n2 1\n1\n", "row 1: expected 1 entries, got 2"),
+        ("3 2\n2 3 1\n3\n1 2\n", "row 1: expected 2 entries, got 3"),
+        ("2 1\n2\n1 5\n", "row 2: expected 1 entries, got 2"),
+        ("3 2\n2 3\n3 1\n1 x\n", "row 3: 'x' is not an integer"),
+        ("2 1\n|\n1\n", "row 1: '|' is not an integer"),
+        ("2 1\n3\n1\n", "vertex id 3 outside 1..2 in rotation table"),
+    ])
+    def test_first_malformed_row_named(self, text, message):
+        with pytest.raises(MalformedInputError) as info:
+            parse_rot(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["2  1\n 2 \n1\t\n", "2 1\r\n2\r\n1\r\n", "2 1\n2\n1"])
+    def test_other_whitespace_accepted(self, text):
+        assert parse_rot(text) == RotationMatrix([[2], [1]])
+
     def test_invalid_map_rejected_by_default(self):
         with pytest.raises(MalformedInputError):
             parse_rot("2 1\n1\n2\n")  # self-loops
@@ -121,6 +138,27 @@ class TestPermFormat:
     def test_malformed_rejected(self, text):
         with pytest.raises(MalformedInputError):
             parse_perm(text)
+
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("1 1 2 2", "1 1 2", "line 1: expected 'v i w j', got '1 1 2'"),
+        ("2 1 3 2", "2 1 3 2 |", "line 3: expected 'v i w j', got '2 1 3 2 |'"),
+        ("3 2 2 1", "3 2 2 1 7", "line 6: expected 'v i w j', got '3 2 2 1 7'"),
+        ("3 1 1 2", "3 1 1 x", "line 5: 'x' is not an integer"),
+        ("1 1 2 2", "1 1 9 9", "line 1: dart out of range: '1 1 9 9'"),
+        ("3 2 2 1", "3 2 2 99999999999999999999999",
+         "line 6: dart out of range: '3 2 2 99999999999999999999999'"),
+        ("1 2 3 1", "1 1 3 1", "line 2: dart (1, 1) listed twice"),
+        ("2 2 1 1", "2 2 1 2", "dart pairs do not form an involutive permutation"),
+    ])
+    def test_first_malformed_line_named(self, old, new, message):
+        with pytest.raises(MalformedInputError) as info:
+            parse_perm(TRIANGLE_PERM_FILE.replace(old, new))
+        assert str(info.value) == message
+
+    def test_other_whitespace_accepted(self):
+        text = TRIANGLE_PERM_FILE.replace("\n", "\r\n").replace("2 1 3 2", "2  1 3\t2")
+        assert parse_perm(text).images.tolist() == [4, 5, 6, 1, 2, 3]
 
 
 class TestExports:

@@ -1,0 +1,148 @@
+"""Property tests of the table core on random small tables.
+
+``reference_validate`` is the row-by-row validity check the vectorized
+:func:`rotmaps.validate` replaced; the reports must agree exactly, in kinds,
+locations, messages and order.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_regular_adjacency
+from rotmaps import (
+    InconsistentInputWarning,
+    RotationMatrix,
+    ValidationReport,
+    Violation,
+    build_shift,
+    rotation_from_adjacency,
+    to_full_form,
+    validate,
+)
+from rotmaps.io import format_perm, format_rot, parse_perm, parse_rot
+
+PROPERTY = settings(deadline=None, derandomize=True)
+
+
+def reference_validate(table) -> ValidationReport:
+    """Loop over rows, a dense n x n incidence count, then loop over columns."""
+    ent = np.asarray(table, dtype=np.int64)
+    n, d = ent.shape
+    violations = []
+
+    ids = np.arange(1, n + 1)
+    for r, c in zip(*np.nonzero(ent == ids[:, None])):
+        violations.append(
+            Violation("self-loop", (int(r) + 1, int(c) + 1),
+                      f"self-loop at row {r + 1}, column {c + 1}")
+        )
+
+    for v in range(n):
+        vals, counts = np.unique(ent[v], return_counts=True)
+        for w, k in zip(vals[counts > 1], counts[counts > 1]):
+            violations.append(
+                Violation("duplicate-in-row", (v + 1, int(w)),
+                          f"duplicate-in-row at row {v + 1}: vertex {w} appears {k} times")
+            )
+
+    counts = np.zeros((n, n), dtype=np.int64)
+    for v in range(n):
+        np.add.at(counts[v], ent[v] - 1, 1)
+    for v, w in zip(*np.nonzero(counts > counts.T)):
+        violations.append(
+            Violation(
+                "asymmetric-incidence", (int(v) + 1, int(w) + 1),
+                f"asymmetric-incidence at row {v + 1}: vertex {w + 1} appears "
+                f"{counts[v, w]} times but row {w + 1} lists vertex {v + 1} "
+                f"{counts[w, v]} times",
+            )
+        )
+
+    for i in range(d):
+        vals, cnt = np.unique(ent[:, i], return_counts=True)
+        for w, k in zip(vals[cnt > 1], cnt[cnt > 1]):
+            violations.append(
+                Violation("duplicate-in-column", (i + 1, int(w)),
+                          f"duplicate-in-column at column {i + 1}: vertex {w} appears {k} times")
+            )
+
+    structural = ("self-loop", "duplicate-in-row", "asymmetric-incidence")
+    is_valid = not any(v.kind in structural for v in violations)
+    return ValidationReport(
+        is_valid_map=is_valid,
+        is_consistent=is_valid and not violations,
+        violations=tuple(violations),
+    )
+
+
+@st.composite
+def tables(draw):
+    """Any in-range table: n in 2..9, d in 1..5; almost never a valid map."""
+    n = draw(st.integers(2, 9))
+    d = draw(st.integers(1, 5))
+    row = st.lists(st.integers(1, n), min_size=d, max_size=d)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@st.composite
+def valid_maps(draw):
+    """A random regular graph read row by row, then each row's ports shuffled.
+
+    Always a valid map; consistent or not at random.
+    """
+    n = draw(st.integers(2, 9))
+    d = draw(st.integers(1, min(5, n - 1)).filter(lambda d: n * d % 2 == 0))
+    seed = draw(st.integers(0, 2**16))
+    rows = rotation_from_adjacency(random_regular_adjacency(n, d, seed)).entries
+    perms = draw(st.lists(st.permutations(range(d)), min_size=n, max_size=n))
+    return RotationMatrix(rows[np.arange(n)[:, None], np.array(perms)])
+
+
+@PROPERTY
+@given(tables())
+def test_validate_matches_reference_on_random_tables(table):
+    assert validate(RotationMatrix(table)) == reference_validate(table)
+
+
+@PROPERTY
+@given(valid_maps())
+def test_validate_matches_reference_on_valid_maps(rot):
+    report = validate(rot)
+    assert report.is_valid_map
+    assert report == reference_validate(rot.entries)
+
+
+@PROPERTY
+@given(valid_maps())
+def test_full_form_is_an_involution(rot):
+    table = to_full_form(rot)
+    n, d = rot.entries.shape
+    w, j = table.entries - 1, table.ports - 1
+    assert np.array_equal(table.entries[w, j], np.repeat(np.arange(1, n + 1), d).reshape(n, d))
+    assert np.array_equal(table.ports[w, j], np.tile(np.arange(1, d + 1), (n, 1)))
+
+
+@PROPERTY
+@given(tables())
+def test_rot_round_trip_any_table(table):
+    rot = RotationMatrix(table)
+    text = format_rot(rot)
+    assert parse_rot(text, require_valid_map=False) == rot
+    assert format_rot(parse_rot(text, require_valid_map=False)) == text
+
+
+@PROPERTY
+@given(valid_maps())
+def test_rot_and_perm_round_trip(rot):
+    text = format_rot(rot)
+    assert parse_rot(text) == rot
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InconsistentInputWarning)
+        shift = build_shift(rot)
+    perm = format_perm(shift)
+    parsed = parse_perm(perm)
+    assert np.array_equal(parsed.images, shift.images)
+    assert format_perm(parsed) == perm
