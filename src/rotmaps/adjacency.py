@@ -56,7 +56,7 @@ class AdjacencyMatrix:
         if not np.issubdtype(arr.dtype, np.integer):
             raise MalformedInputError("adjacency entries must be integers")
         arr = arr.astype(np.int64)
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():  # np.isin would make an int64 copy
             raise MalformedInputError("adjacency entries must be 0 or 1")
         if np.any(np.diag(arr) != 0):
             v = int(np.nonzero(np.diag(arr))[0][0]) + 1

@@ -15,6 +15,7 @@ ports) and JSON (``{"n":…,"d":…,"rot":[[…]]}``).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -102,7 +103,11 @@ def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
             parts = line.split()
             if len(parts) != d:
                 raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
-            rows.append([_parse_int(p, f"row {number}") for p in parts])
+            row = [_parse_int(p, f"row {number}") for p in parts]
+            big = next((x for x in row if not -2**63 <= x < 2**63), None)
+            if big is not None:
+                raise MalformedInputError(f"row {number}: entry {big} does not fit in 64 bits")
+            rows.append(row)
         table = np.array(rows, dtype=np.int64)
     rot = RotationMatrix(table)
     if require_valid_map:
@@ -114,11 +119,32 @@ def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
 
 
 def format_adj(adj: AdjacencyMatrix) -> str:
-    return "\n".join(",".join(str(int(x)) for x in row) for row in adj.matrix) + "\n"
+    n = adj.order
+    buf = np.full((n, 2 * n), ord(","), dtype=np.uint8)
+    np.add(adj.matrix, ord("0"), out=buf[:, ::2], casting="unsafe")
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().decode("ascii")
 
 
-def parse_adj(text: str) -> AdjacencyMatrix:
-    """Strict parse of the .adj format (symmetry and zero diagonal enforced)."""
+def _adj_cells(text: str) -> np.ndarray | None:
+    """The 0/1 cells of canonical .adj text as a uint8 matrix, or None.
+
+    Canonical text is n rows of 2n bytes: a digit in each even column, ','
+    in each other column but the last, and '\n' in the last.
+    """
+    if not text.isascii():
+        return None
+    n = math.isqrt(len(text) // 2)
+    if n < 1 or len(text) != 2 * n * n:
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(n, 2 * n)
+    cells = buf[:, ::2] - np.uint8(ord("0"))  # any byte below '0' wraps past 1
+    separators_ok = (buf[:, 1:-1:2] == ord(",")).all() and (buf[:, -1] == ord("\n")).all()
+    return cells if separators_ok and (cells <= 1).all() else None
+
+
+def _adj_rows(text: str) -> np.ndarray:
+    """Cell-by-cell read of any .adj text, naming the first malformed row."""
     lines = text.splitlines()
     if not lines:
         raise MalformedInputError("empty adjacency file")
@@ -137,7 +163,18 @@ def parse_adj(text: str) -> AdjacencyMatrix:
                 raise MalformedInputError(f"row {number}: entry {token!r} is not 0 or 1")
             row.append(int(token))
         rows.append(row)
-    return AdjacencyMatrix(np.array(rows, dtype=np.int64))
+    return np.array(rows, dtype=np.int64)
+
+
+def parse_adj(text: str) -> AdjacencyMatrix:
+    """Strict parse of the .adj format (symmetry and zero diagonal enforced).
+
+    Canonical text is read in one pass over its bytes; any other layout
+    (CRLF, padded tokens, no final newline, malformed input) goes through
+    the cell-by-cell read.
+    """
+    cells = _adj_cells(text)
+    return AdjacencyMatrix(_adj_rows(text) if cells is None else cells)
 
 
 def format_perm(shift: ShiftPermutation) -> str:

@@ -9,6 +9,8 @@ entering every vertex.  Two solvers cross-check each other:
 * a polynomial constructor that peels the arc set into d perfect matchings
   of the out-side/in-side bipartite graph (the residual graph stays regular,
   so a perfect matching always exists), assigning one label per matching.
+  Each matching is a greedy pass plus an iterative alternating-path search
+  in a fixed scan order: deterministic, and with no recursion limit.
 """
 
 from __future__ import annotations
@@ -160,43 +162,90 @@ def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET)
     return labeling.to_rotation_matrix()
 
 
+def _augment(root: int, remaining: list[list[int]], match_in: list[int],
+             match_out: list[int], seen: list[int]) -> bool:
+    """Match out-side ``root`` along an alternating path; False if there is none.
+
+    Depth-first search with an explicit stack.  Each out-side reached is
+    first scanned for a free in-side among its remaining arcs; only then are
+    its matched in-sides followed.  ``seen[w] == root`` marks the in-sides
+    already followed in this search.
+    """
+    path = [root]  # out-sides on the current alternating path
+    via = []       # via[k]: the in-side path[k] takes once the path augments
+    todo = [iter(remaining[root])]
+    while todo:
+        w = next((w for w in todo[-1] if seen[w] != root), None)
+        if w is None:
+            todo.pop()
+            path.pop()
+            if via:
+                via.pop()
+            continue
+        seen[w] = root
+        via.append(w)
+        u = match_in[w]
+        if u >= 0:
+            path.append(u)
+            free = next((x for x in remaining[u] if match_in[x] < 0), None)
+            if free is None:
+                todo.append(iter(remaining[u]))
+                continue
+            via.append(free)
+        for u, w in zip(path, via):
+            match_in[w] = u
+            match_out[u] = w
+        return True
+    return False
+
+
+def _check_labels(adjacency: AdjacencyMatrix, entries: np.ndarray) -> None:
+    """Each labelled pair is an arc, labelled once, and no label repeats at either end."""
+    n = adjacency.order
+    is_arc = adjacency.matrix[np.arange(n)[:, None], entries - 1].all()
+    in_distinct = (np.sort(entries, axis=0) == np.arange(1, n + 1)[:, None]).all()
+    arc_once = (np.diff(np.sort(entries, axis=1), axis=1) != 0).all()
+    if not (is_arc and in_distinct and arc_once):
+        raise RotmapsError("matching rounds did not label every arc exactly once")
+
+
 def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
     """Polynomial construction: one perfect matching of the arc set per label.
 
     Round r finds a perfect matching between out-sides and in-sides among
-    the still-unlabeled arcs (augmenting-path search, ascending scan order)
-    and labels its arcs r.  Removing a perfect matching from a regular
-    bipartite graph keeps it regular, so every round succeeds.
+    the still-unlabeled arcs and labels its arcs r.  Each round is a greedy
+    pass (every out-side, in ascending order, takes its first free in-side)
+    followed by an iterative alternating-path search for each out-side left
+    unmatched, so there is no recursion and no depth limit; scan orders are
+    fixed, so the output is a deterministic function of the input.
+    Removing a perfect matching from a regular bipartite graph keeps it
+    regular, so every round succeeds.
     """
     d = _checked_degree(adjacency)
     n = adjacency.order
-    remaining = [[]] + [[int(w) for w in adjacency.neighbors(v)] for v in range(1, n + 1)]
-    labeling = ArcLabeling(adjacency)
+    remaining = np.nonzero(adjacency.matrix)[1].reshape(n, d).tolist()
+    entries = np.zeros((n, d), dtype=np.int64)
 
     for label in range(1, d + 1):
-        match_in = [0] * (n + 1)
-        match_out = [0] * (n + 1)
-
-        def augment(u: int, seen: set[int]) -> bool:
-            for w in remaining[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if match_in[w] == 0 or augment(match_in[w], seen):
-                    match_in[w] = u
-                    match_out[u] = w
-                    return True
-            return False
-
-        for u in range(1, n + 1):
-            if not augment(u, set()):  # unreachable: residual graph is regular bipartite
+        match_in = [-1] * n
+        match_out = [-1] * n
+        for u in range(n):
+            w = next((w for w in remaining[u] if match_in[w] < 0), None)
+            if w is not None:
+                match_in[w] = u
+                match_out[u] = w
+        seen = [-1] * n
+        for u in range(n):
+            if match_out[u] < 0 and not _augment(u, remaining, match_in, match_out, seen):
+                # unreachable: the residual graph is regular bipartite
                 raise RotmapsError(f"no perfect matching among remaining arcs in round {label}")
-        for v in range(1, n + 1):
-            w = match_out[v]
-            labeling.assign(v, w, label)
-            remaining[v].remove(w)
+        entries[:, label - 1] = match_out
+        for u, w in enumerate(match_out):
+            remaining[u].remove(w)
 
-    return labeling.to_rotation_matrix()
+    entries += 1
+    _check_labels(adjacency, entries)
+    return RotationMatrix(entries)
 
 
 def agree(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET) -> bool | None:

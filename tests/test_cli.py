@@ -4,9 +4,15 @@ import tracemalloc
 
 import pytest
 
-from rotmaps import adjacency_from_rotation, complete_bipartite, cycle, generalized_petersen
+from rotmaps import (
+    adjacency_from_rotation,
+    complete_bipartite,
+    cycle,
+    generalized_petersen,
+    is_consistent,
+)
 from rotmaps.cli import main
-from rotmaps.io import format_adj, format_rot
+from rotmaps.io import format_adj, format_rot, parse_rot
 
 C5_FILE = "5 2\n2 5\n3 1\n4 2\n5 3\n1 4\n"
 
@@ -116,6 +122,14 @@ class TestVerify:
         assert "self-loop" in out
 
 
+    def test_entry_beyond_int64_is_one_error_line(self, tmp_path, capsys):
+        path = write(tmp_path, "big.rot", "2 1\n99999999999999999999999\n1\n")
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: row 1:")
+        assert "OverflowError" not in err
+
+
 class TestAdjacencyCommands:
     def test_from_adjacency(self, tmp_path, capsys):
         adj = write(tmp_path, "k3.adj", "0,1,1\n1,0,1\n1,1,0\n")
@@ -128,6 +142,16 @@ class TestAdjacencyCommands:
         out = tmp_path / "solved.rot"
         assert main(["solve", adj, "--method", method, "-o", str(out)]) == 0
         assert main(["verify", str(out)]) == 0
+
+    def test_solve_c3000(self, tmp_path):
+        # deep alternating paths: the matching solver must not recurse
+        adj = adjacency_from_rotation(cycle(3000))
+        path = write(tmp_path, "c3000.adj", format_adj(adj))
+        out = tmp_path / "solved.rot"
+        assert main(["solve", path, "-o", str(out)]) == 0
+        rot = parse_rot(out.read_text())
+        assert is_consistent(rot)
+        assert adjacency_from_rotation(rot) == adj
 
     def test_solve_budget_exhaustion(self, tmp_path, capsys):
         adj = write(tmp_path, "k4.adj", format_adj(adjacency_from_rotation(cycle(4))))

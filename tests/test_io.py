@@ -1,5 +1,7 @@
 """File formats: canonical bytes out, strict parsing in, exports."""
 
+import tracemalloc
+
 import pytest
 
 from conftest import CORPUS
@@ -72,6 +74,8 @@ class TestRotFormat:
         ("3 2\n2 3\n3 1\n1 x\n", "row 3: 'x' is not an integer"),
         ("2 1\n|\n1\n", "row 1: '|' is not an integer"),
         ("2 1\n3\n1\n", "vertex id 3 outside 1..2 in rotation table"),
+        ("2 1\n2\n-99999999999999999999999\n",
+         "row 2: entry -99999999999999999999999 does not fit in 64 bits"),
     ])
     def test_first_malformed_row_named(self, text, message):
         with pytest.raises(MalformedInputError) as info:
@@ -102,6 +106,17 @@ class TestAdjFormat:
             text = format_adj(adj)
             assert parse_adj(text) == adj
             assert format_adj(parse_adj(text)) == text
+
+    def test_parse_holds_one_int64_matrix(self):
+        # canonical text is read as bytes; the only n x n int64 array is the matrix
+        text = format_adj(adjacency_from_rotation(cycle(2000)))
+        tracemalloc.start()
+        try:
+            parse_adj(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 2000**2
 
     @pytest.mark.parametrize("text", [
         "",

@@ -1,8 +1,9 @@
-"""Property tests of the table core on random small tables.
+"""Property tests of the table core, the matching solver and the file formats.
 
 ``reference_validate`` is the row-by-row validity check the vectorized
 :func:`rotmaps.validate` replaced; the reports must agree exactly, in kinds,
-locations, messages and order.
+locations, messages and order.  Likewise ``parse_adj`` must agree with the
+cell-by-cell read it keeps for non-canonical text, on every text.
 """
 
 import warnings
@@ -13,16 +14,28 @@ from hypothesis import strategies as st
 
 from conftest import random_regular_adjacency
 from rotmaps import (
+    AdjacencyMatrix,
     InconsistentInputWarning,
     RotationMatrix,
     ValidationReport,
     Violation,
+    adjacency_from_rotation,
     build_shift,
+    is_consistent,
     rotation_from_adjacency,
+    solve_matching,
     to_full_form,
     validate,
 )
-from rotmaps.io import format_perm, format_rot, parse_perm, parse_rot
+from rotmaps.io import (
+    _adj_rows,
+    format_adj,
+    format_perm,
+    format_rot,
+    parse_adj,
+    parse_perm,
+    parse_rot,
+)
 
 PROPERTY = settings(deadline=None, derandomize=True)
 
@@ -88,15 +101,22 @@ def tables(draw):
 
 
 @st.composite
+def regular_graphs(draw):
+    """A seeded random regular graph: n in 2..9, d in 1..5."""
+    n = draw(st.integers(2, 9))
+    d = draw(st.integers(1, min(5, n - 1)).filter(lambda d: n * d % 2 == 0))
+    return random_regular_adjacency(n, d, draw(st.integers(0, 2**16)))
+
+
+@st.composite
 def valid_maps(draw):
     """A random regular graph read row by row, then each row's ports shuffled.
 
     Always a valid map; consistent or not at random.
     """
-    n = draw(st.integers(2, 9))
-    d = draw(st.integers(1, min(5, n - 1)).filter(lambda d: n * d % 2 == 0))
-    seed = draw(st.integers(0, 2**16))
-    rows = rotation_from_adjacency(random_regular_adjacency(n, d, seed)).entries
+    adj = draw(regular_graphs())
+    n, d = adj.order, adj.degree()
+    rows = rotation_from_adjacency(adj).entries
     perms = draw(st.lists(st.permutations(range(d)), min_size=n, max_size=n))
     return RotationMatrix(rows[np.arange(n)[:, None], np.array(perms)])
 
@@ -146,3 +166,61 @@ def test_rot_and_perm_round_trip(rot):
     parsed = parse_perm(perm)
     assert np.array_equal(parsed.images, shift.images)
     assert format_perm(parsed) == perm
+
+
+@PROPERTY
+@given(regular_graphs())
+def test_solve_matching_recovers_the_graph(adj):
+    rot = solve_matching(adj)
+    assert is_consistent(rot)
+    assert adjacency_from_rotation(rot) == adj
+    assert solve_matching(adj) == rot
+
+
+@PROPERTY
+@given(regular_graphs())
+def test_adj_round_trip(adj):
+    text = format_adj(adj)
+    assert parse_adj(text) == adj
+    assert format_adj(parse_adj(text)) == text
+
+
+@st.composite
+def adj_texts(draw):
+    """Canonical .adj text of a random 0/1 matrix, as is or in another layout.
+
+    The matrix is symmetric with a zero diagonal or, at random, any 0/1
+    matrix; the layouts are CRLF, padded tokens, no final newline and one
+    byte replaced, inserted or deleted.
+    """
+    n = draw(st.integers(1, 6))
+    cells = np.array(draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)))
+    cells = cells.reshape(n, n)
+    if draw(st.booleans()):
+        cells = np.triu(cells, 1) + np.triu(cells, 1).T
+    rows = [",".join(map(str, row)) for row in cells]
+    layout = draw(st.sampled_from(["canonical", "crlf", "padded", "no-final-newline", "corrupt"]))
+    if layout == "crlf":
+        return "\r\n".join(rows) + "\r\n"
+    if layout == "padded":
+        return "".join(" " + row.replace(",", " ,\t") + " \n" for row in rows)
+    text = "\n".join(rows) + ("\n" if layout != "no-final-newline" else "")
+    if layout == "corrupt":
+        at = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(["", "0", "1", "2", ",", "\n", " ", "\r", "/", "a", "\u00e9"]))
+        cut = draw(st.sampled_from([0, 1]))
+        text = text[:at] + byte + text[at + cut:]
+    return text
+
+
+def outcome(parse, text):
+    try:
+        return parse(text).matrix.tolist()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(adj_texts())
+def test_parse_adj_agrees_with_cell_by_cell_read(text):
+    assert outcome(parse_adj, text) == outcome(lambda t: AdjacencyMatrix(_adj_rows(t)), text)

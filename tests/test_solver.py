@@ -1,5 +1,6 @@
 """Labeling solvers: the exhaustive backtracker and the matching constructor."""
 
+import numpy as np
 import pytest
 
 from conftest import CORPUS, random_regular_adjacency
@@ -8,9 +9,11 @@ from rotmaps import (
     ArcLabeling,
     MalformedInputError,
     RegularityError,
+    RotmapsError,
     SearchBudgetExceededError,
     adjacency_from_rotation,
     agree,
+    cartesian_rotation,
     complete,
     cycle,
     generalized_petersen,
@@ -18,6 +21,7 @@ from rotmaps import (
     solve_backtracking,
     solve_matching,
 )
+from rotmaps.solver import _check_labels
 
 K3_ADJ = AdjacencyMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 K2_ADJ = AdjacencyMatrix([[0, 1], [1, 0]])
@@ -96,8 +100,6 @@ class TestBacktracking:
         assert info.value.nodes_explored == 4
 
     def test_edgeless_rejected(self):
-        import numpy as np
-
         with pytest.raises(RegularityError):
             solve_backtracking(AdjacencyMatrix(np.zeros((3, 3), dtype=np.int64)))
 
@@ -132,6 +134,36 @@ class TestMatching:
         out = solve_matching(adj)
         assert is_consistent(out)
         assert adjacency_from_rotation(out) == adj
+
+
+class TestLabelCheck:
+    C4_ADJ = adjacency_from_rotation(cycle(4))
+
+    def test_consistent_table_passes(self):
+        _check_labels(self.C4_ADJ, np.array([[2, 4], [3, 1], [4, 2], [1, 3]]))
+
+    @pytest.mark.parametrize("table", [
+        [[3, 4], [4, 1], [1, 2], [2, 3]],  # (1, 3) is not an arc
+        [[2, 4], [3, 1], [2, 4], [1, 3]],  # label 1 enters vertex 2 twice
+        [[2, 2], [3, 3], [4, 4], [1, 1]],  # each arc labelled twice
+    ], ids=["non-arc", "label-repeats", "arc-twice"])
+    def test_bad_table_rejected(self, table):
+        with pytest.raises(RotmapsError):
+            _check_labels(self.C4_ADJ, np.array(table))
+
+
+class TestMatchingScale:
+    """Graphs whose alternating paths are thousands of arcs deep."""
+
+    @pytest.mark.parametrize("adj_factory", [
+        lambda: adjacency_from_rotation(cartesian_rotation(cycle(60), cycle(50))),
+        lambda: random_regular_adjacency(2000, 4, seed=2000),
+    ], ids=["C60xC50", "rr2000d4"])
+    def test_consistent_map_of_the_same_graph(self, adj_factory):
+        adj = adj_factory()
+        rot = solve_matching(adj)
+        assert is_consistent(rot)
+        assert adjacency_from_rotation(rot) == adj
 
 
 class TestAgree:
