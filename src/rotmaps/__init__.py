@@ -50,14 +50,7 @@ from .families import (
     hypercube,
     k2,
 )
-from .product import (
-    BlockLayout,
-    CloudPartition,
-    assemble,
-    cartesian_rotation,
-    cloud_partition,
-    product_blocks,
-)
+from .product import cartesian_rotation
 from .shift import ShiftPermutation, build_shift, verify_unitary
 from .solver import ArcLabeling, agree, solve_backtracking, solve_matching
 
@@ -66,8 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjacencyMatrix",
     "ArcLabeling",
-    "BlockLayout",
-    "CloudPartition",
     "ConvergenceError",
     "Dart",
     "FamilySpec",
@@ -88,12 +79,10 @@ __all__ = [
     "Violation",
     "adjacency_from_rotation",
     "agree",
-    "assemble",
     "build_shift",
     "cartesian_adjacency",
     "cartesian_rotation",
     "check_row_scan_inconsistency",
-    "cloud_partition",
     "complete",
     "complete_bipartite",
     "cycle",
@@ -102,7 +91,6 @@ __all__ = [
     "incoming_labels",
     "is_consistent",
     "k2",
-    "product_blocks",
     "product_property_check",
     "rotation_from_adjacency",
     "solve_backtracking",

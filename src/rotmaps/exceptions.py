@@ -18,7 +18,7 @@ class InvalidRotationMapError(RotmapsError, ValueError):
 
 
 class ParameterError(RotmapsError, ValueError):
-    """Family or partition parameters outside their admissible domain."""
+    """Family parameters outside their admissible domain or above a size ceiling."""
 
 
 class RegularityError(RotmapsError, ValueError):

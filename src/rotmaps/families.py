@@ -12,7 +12,6 @@ import numpy as np
 
 from .core import RotationMatrix
 from .exceptions import ParameterError
-from .product import cartesian_rotation
 
 __all__ = [
     "FamilySpec",
@@ -23,6 +22,10 @@ __all__ = [
     "k2",
     "hypercube",
 ]
+
+# Q20 has 2**20 vertices and 20 * 2**20 int64 entries (168 MB), and validating
+# it sorts as many keys again; each further dimension more than doubles both.
+MAX_HYPERCUBE_DIMENSION = 20
 
 
 def cycle(n: int) -> RotationMatrix:
@@ -85,17 +88,21 @@ def k2() -> RotationMatrix:
 
 
 def hypercube(m: int) -> RotationMatrix:
-    """m-dimensional cube as an iterated product of single edges.
+    """m-dimensional cube: port t of vertex v flips bit t-1 of v-1.
 
-    Left fold of the box product over m copies of the edge; port t flips
-    coordinate t, with coordinate m indexing the outermost clouds.
+    This closed form equals the left fold of the box product over m copies
+    of the edge, ``cartesian_rotation(...cartesian_rotation(k2(), k2())...,
+    k2())``: coordinate m indexes the outermost clouds.  Dimensions above
+    MAX_HYPERCUBE_DIMENSION are rejected before anything is allocated.
     """
     if m < 1:
         raise ParameterError(f"hypercube needs dimension >= 1, got {m}")
-    rot = k2()
-    for _ in range(m - 1):
-        rot = cartesian_rotation(rot, k2())
-    return rot
+    if m > MAX_HYPERCUBE_DIMENSION:
+        raise ParameterError(
+            f"hypercube dimension {m} exceeds the limit of {MAX_HYPERCUBE_DIMENSION}"
+        )
+    v = np.arange(2**m, dtype=np.int64)[:, None]
+    return RotationMatrix((v ^ (1 << np.arange(m, dtype=np.int64))) + 1)
 
 
 _ALIASES = {

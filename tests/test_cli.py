@@ -12,6 +12,7 @@ from rotmaps import (
     is_consistent,
 )
 from rotmaps.cli import main
+from rotmaps.families import MAX_HYPERCUBE_DIMENSION
 from rotmaps.io import format_adj, format_rot, parse_rot
 
 C5_FILE = "5 2\n2 5\n3 1\n4 2\n5 3\n1 4\n"
@@ -65,6 +66,15 @@ class TestGenerate:
         assert peak < 200 * 2**20
         lines = out.read_text().splitlines()
         assert lines[0] == "32768 15" and len(lines) == 32769
+
+    def test_hypercube_above_ceiling_is_one_error_line(self, capsys):
+        assert main(["generate", "--family", "hypercube", "--m", "40"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"limit of {MAX_HYPERCUBE_DIMENSION}" in lines[0]
+        assert "MemoryError" not in captured.err
 
 
 class TestProduct:

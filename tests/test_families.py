@@ -1,5 +1,8 @@
 """Family generators: pinned tables, consistency, and structural properties."""
 
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from rotmaps import (
     ParameterError,
     adjacency_from_rotation,
     cartesian_adjacency,
+    cartesian_rotation,
     complete,
     complete_bipartite,
     cycle,
@@ -19,6 +23,7 @@ from rotmaps import (
     spectrum_deviation,
     validate,
 )
+from rotmaps.families import MAX_HYPERCUBE_DIMENSION
 
 C5_TABLE = [[2, 5], [3, 1], [4, 2], [5, 3], [1, 4]]
 K5_TABLE = [
@@ -87,6 +92,10 @@ class TestPinnedTables:
     def test_hypercube_2(self):
         assert hypercube(2).entries.tolist() == [[2, 3], [1, 4], [4, 1], [3, 2]]
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_hypercube_is_the_k2_fold(self, m):
+        assert hypercube(m) == reduce(cartesian_rotation, [k2()] * m)
+
 
 class TestParameterDomains:
     @pytest.mark.parametrize("call", [
@@ -102,6 +111,17 @@ class TestParameterDomains:
     def test_rejected(self, call):
         with pytest.raises(ParameterError):
             call()
+
+    @pytest.mark.parametrize("m", [MAX_HYPERCUBE_DIMENSION + 1, 64])
+    def test_hypercube_ceiling(self, m):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"limit of {MAX_HYPERCUBE_DIMENSION}"):
+                hypercube(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_gp_largest_step_allowed(self):
         assert validate(generalized_petersen(9, 4)).is_consistent

@@ -1,25 +1,19 @@
-"""Box products of rotation maps: clouds, blocks, assembly, and preservation laws."""
+"""Box products of rotation maps: the cloud layout of the table and preservation laws."""
 
 import numpy as np
 import pytest
 
 from conftest import CORPUS
 from rotmaps import (
-    BlockLayout,
     InconsistentInputWarning,
     InvalidRotationMapError,
-    MalformedInputError,
-    ParameterError,
     RotationMatrix,
     adjacency_from_rotation,
-    assemble,
     cartesian_adjacency,
     cartesian_rotation,
-    cloud_partition,
     cycle,
     is_consistent,
     k2,
-    product_blocks,
     validate,
 )
 
@@ -53,37 +47,6 @@ TORUS_TABLE = [
 ]
 
 
-class TestCloudPartition:
-    def test_torus_clouds(self):
-        part = cloud_partition(6, 4)
-        assert [list(c) for c in part.clouds] == [
-            list(range(1, 7)),
-            list(range(7, 13)),
-            list(range(13, 19)),
-            list(range(19, 25)),
-        ]
-
-    def test_three_by_four(self):
-        part = cloud_partition(3, 4)
-        assert [list(c) for c in part.clouds] == [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]]
-
-    def test_smallest(self):
-        part = cloud_partition(2, 2)
-        assert [list(c) for c in part.clouds] == [[1, 2], [3, 4]]
-
-    def test_cloud_of(self):
-        part = cloud_partition(6, 4)
-        assert part.cloud_of(1) == 1
-        assert part.cloud_of(6) == 1
-        assert part.cloud_of(7) == 2
-        assert part.cloud_of(24) == 4
-
-    @pytest.mark.parametrize("vg,vh", [(1, 4), (3, 1), (0, 2)])
-    def test_degenerate_rejected(self, vg, vh):
-        with pytest.raises(ParameterError):
-            cloud_partition(vg, vh)
-
-
 class TestCartesianRotation:
     def test_torus(self):
         prod = cartesian_rotation(cycle(6), cycle(4))
@@ -95,15 +58,15 @@ class TestCartesianRotation:
         assert prod.entries.tolist() == [[2, 3], [1, 4], [4, 1], [3, 2]]
 
     def test_bridge_block_of_first_cloud(self):
-        layout = product_blocks(cycle(6), cycle(4))
-        assert layout.bridge_blocks[0].tolist() == [
+        prod = cartesian_rotation(cycle(6), cycle(4))
+        assert prod.entries[:6, 2:].tolist() == [
             [7, 19], [8, 20], [9, 21], [10, 22], [11, 23], [12, 24],
         ]
 
     def test_local_blocks_are_shifted_copies(self):
-        layout = product_blocks(cycle(6), cycle(4))
+        local = cartesian_rotation(cycle(6), cycle(4)).entries[:, :2].reshape(4, 6, 2)
         base = cycle(6).entries
-        for i, block in enumerate(layout.local_blocks):
+        for i, block in enumerate(local):
             assert np.array_equal(block, base + 6 * i)
 
     def test_wrong_bridge_entry_breaks_consistency(self):
@@ -152,34 +115,3 @@ class TestCartesianRotation:
         assert prod.num_vertices == 15
         assert prod.degree == 4
 
-
-class TestAssemble:
-    def test_k2_by_k2_blocks(self):
-        layout = BlockLayout(
-            local_blocks=(np.array([[2], [1]]), np.array([[4], [3]])),
-            bridge_blocks=(np.array([[3], [4]]), np.array([[1], [2]])),
-        )
-        assert assemble(layout).entries.tolist() == [[2, 3], [1, 4], [4, 1], [3, 2]]
-
-    def test_round_trips_product(self):
-        layout = product_blocks(cycle(6), cycle(4))
-        assert assemble(layout) == cartesian_rotation(cycle(6), cycle(4))
-
-    def test_single_cloud_rejected(self):
-        with pytest.raises(MalformedInputError):
-            BlockLayout(local_blocks=(np.array([[2], [1]]),),
-                        bridge_blocks=(np.array([[3], [4]]),))
-
-    def test_ragged_blocks_rejected(self):
-        with pytest.raises(MalformedInputError):
-            BlockLayout(
-                local_blocks=(np.array([[2], [1]]), np.array([[4, 4], [3, 3]])),
-                bridge_blocks=(np.array([[3], [4]]), np.array([[1], [2]])),
-            )
-
-    def test_mismatched_counts_rejected(self):
-        with pytest.raises(MalformedInputError):
-            BlockLayout(
-                local_blocks=(np.array([[2], [1]]), np.array([[4], [3]])),
-                bridge_blocks=(np.array([[3], [4]]),),
-            )

@@ -1,4 +1,4 @@
-"""Property tests of the table core, the matching solver and the file formats.
+"""Property tests of the table core, products, shifts, the matching solver and the file formats.
 
 ``reference_validate`` is the row-by-row validity check the vectorized
 :func:`rotmaps.validate` replaced; the reports must agree exactly, in kinds,
@@ -21,11 +21,13 @@ from rotmaps import (
     Violation,
     adjacency_from_rotation,
     build_shift,
+    cartesian_rotation,
     is_consistent,
     rotation_from_adjacency,
     solve_matching,
     to_full_form,
     validate,
+    verify_unitary,
 )
 from rotmaps.io import (
     _adj_rows,
@@ -175,6 +177,53 @@ def test_solve_matching_recovers_the_graph(adj):
     assert is_consistent(rot)
     assert adjacency_from_rotation(rot) == adj
     assert solve_matching(adj) == rot
+
+
+def box_product_edges(a1, a2):
+    """Vertex pairs of the box product, vertex (g, h) numbered (h-1)*|V_1| + g.
+
+    (g, h) ~ (g', h) iff g ~ g', and (g, h) ~ (g, h') iff h ~ h'.
+    """
+    n1, n2 = a1.order, a2.order
+    edges = set()
+    for h in range(1, n2 + 1):
+        for g in range(1, n1 + 1):
+            for g2 in range(1, n1 + 1):
+                if a1.matrix[g - 1, g2 - 1]:
+                    edges.add(((h - 1) * n1 + g, (h - 1) * n1 + g2))
+            for h2 in range(1, n2 + 1):
+                if a2.matrix[h - 1, h2 - 1]:
+                    edges.add(((h - 1) * n1 + g, (h2 - 1) * n1 + g))
+    return edges
+
+
+@PROPERTY
+@given(regular_graphs(), regular_graphs())
+def test_product_of_solved_maps_is_the_consistent_box_product(a1, a2):
+    prod = cartesian_rotation(solve_matching(a1), solve_matching(a2))
+    assert is_consistent(prod)
+    pairs = {(v + 1, int(w)) for v, row in enumerate(prod.entries) for w in row}
+    assert pairs == box_product_edges(a1, a2)
+
+
+@PROPERTY
+@given(valid_maps(), valid_maps())
+def test_product_of_valid_maps_is_valid(r1, r2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InconsistentInputWarning)
+        prod = cartesian_rotation(r1, r2)
+    assert validate(prod).is_valid_map
+
+
+@PROPERTY
+@given(valid_maps())
+def test_shift_is_an_involutive_permutation(rot):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InconsistentInputWarning)
+        shift = build_shift(rot)
+    assert verify_unitary(shift)
+    images = shift.images
+    assert np.array_equal(images[images - 1], np.arange(1, images.size + 1))
 
 
 @PROPERTY
