@@ -12,7 +12,6 @@ from .adjacency import (
     Spectrum,
     adjacency_from_rotation,
     cartesian_adjacency,
-    check_row_scan_inconsistency,
     product_property_check,
     rotation_from_adjacency,
     spectrum,
@@ -25,7 +24,6 @@ from .core import (
     RotationTable,
     ValidationReport,
     Violation,
-    incoming_labels,
     is_consistent,
     to_full_form,
     validate,
@@ -39,7 +37,6 @@ from .exceptions import (
     RegularityError,
     RotmapsError,
     SearchBudgetExceededError,
-    UnsupportedDegreeError,
 )
 from .families import (
     FamilySpec,
@@ -52,13 +49,12 @@ from .families import (
 )
 from .product import cartesian_rotation
 from .shift import ShiftPermutation, build_shift, verify_unitary
-from .solver import ArcLabeling, agree, solve_backtracking, solve_matching
+from .solver import agree, solve_backtracking, solve_matching
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyMatrix",
-    "ArcLabeling",
     "ConvergenceError",
     "Dart",
     "FamilySpec",
@@ -74,7 +70,6 @@ __all__ = [
     "SearchBudgetExceededError",
     "ShiftPermutation",
     "Spectrum",
-    "UnsupportedDegreeError",
     "ValidationReport",
     "Violation",
     "adjacency_from_rotation",
@@ -82,13 +77,11 @@ __all__ = [
     "build_shift",
     "cartesian_adjacency",
     "cartesian_rotation",
-    "check_row_scan_inconsistency",
     "complete",
     "complete_bipartite",
     "cycle",
     "generalized_petersen",
     "hypercube",
-    "incoming_labels",
     "is_consistent",
     "k2",
     "product_property_check",

@@ -13,13 +13,8 @@ import dataclasses
 
 import numpy as np
 
-from .core import RotationMatrix, _require_valid, is_consistent
-from .exceptions import (
-    ConvergenceError,
-    MalformedInputError,
-    RegularityError,
-    UnsupportedDegreeError,
-)
+from .core import RotationMatrix, _require_valid
+from .exceptions import ConvergenceError, MalformedInputError, ParameterError, RegularityError
 
 __all__ = [
     "AdjacencyMatrix",
@@ -27,7 +22,6 @@ __all__ = [
     "ProductPropertyReport",
     "rotation_from_adjacency",
     "adjacency_from_rotation",
-    "check_row_scan_inconsistency",
     "cartesian_adjacency",
     "spectrum",
     "sum_spectra",
@@ -83,12 +77,6 @@ class AdjacencyMatrix:
     def edge_count(self) -> int:
         return int(self.matrix.sum()) // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbors of v in increasing order (1-indexed)."""
-        if not 1 <= v <= self.order:
-            raise MalformedInputError(f"vertex {v} outside 1..{self.order}")
-        return np.nonzero(self.matrix[v - 1])[0] + 1
-
     def __eq__(self, other):
         if not isinstance(other, AdjacencyMatrix):
             return NotImplemented
@@ -141,7 +129,7 @@ def rotation_from_adjacency(adj: AdjacencyMatrix) -> RotationMatrix:
     """
     d = adj.degree()
     if d < 1:
-        raise RegularityError("graph has no edges; nothing to read")
+        raise RegularityError("graph has no edges; a rotation map needs degree at least 1")
     return RotationMatrix(np.nonzero(adj.matrix)[1].reshape(adj.order, d) + 1)
 
 
@@ -152,19 +140,6 @@ def adjacency_from_rotation(rot: RotationMatrix) -> AdjacencyMatrix:
     arr = np.zeros((n, n), dtype=np.int64)
     arr[np.repeat(np.arange(n), d), rot.entries.ravel() - 1] = 1
     return AdjacencyMatrix(arr)
-
-
-def check_row_scan_inconsistency(adj: AdjacencyMatrix) -> bool:
-    """True when the row-scan reading of ``adj`` is inconsistent.
-
-    Only defined for degree >= 2: degree-1 graphs (perfect matchings) can
-    come out consistent, e.g. a single edge reads as [[2], [1]].
-    """
-    if adj.degree() < 2:
-        raise UnsupportedDegreeError(
-            "row-scan inconsistency check needs degree >= 2; degree-1 readings can be consistent"
-        )
-    return not is_consistent(rotation_from_adjacency(adj))
 
 
 def cartesian_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMatrix:
@@ -267,8 +242,10 @@ def product_property_check(a1: AdjacencyMatrix, a2: AdjacencyMatrix, *,
     Vertex count |V1|*|V2|, regularity d1+d2, edge count |V1|*|V2|*(d1+d2)/2,
     and additivity of the spectrum: the sorted product spectrum must match
     the sorted multiset {x + y} over factor eigenvalues within
-    ``spectrum_tol``.
+    ``spectrum_tol``, which must be a nonnegative number.
     """
+    if not spectrum_tol >= 0:  # also rejects NaN
+        raise ParameterError(f"spectrum tolerance must be a nonnegative number, got {spectrum_tol}")
     d1, d2 = a1.degree(), a2.degree()
     prod = cartesian_adjacency(a1, a2)
     expected_spec = sum_spectra(spectrum(a1), spectrum(a2))

@@ -29,7 +29,6 @@ __all__ = [
     "validate",
     "is_consistent",
     "to_full_form",
-    "incoming_labels",
 ]
 
 
@@ -85,15 +84,6 @@ class RotationMatrix:
     def _report(self) -> ValidationReport:
         return _check(self.entries)
 
-    def row(self, v: int) -> np.ndarray:
-        """Endpoints of the edges leaving vertex v, in port order."""
-        self._check_vertex(v)
-        return self.entries[v - 1]
-
-    def _check_vertex(self, v: int) -> None:
-        if not 1 <= v <= self.num_vertices:
-            raise MalformedInputError(f"vertex {v} outside 1..{self.num_vertices}")
-
     def __eq__(self, other):
         if not isinstance(other, RotationMatrix):
             return NotImplemented
@@ -143,17 +133,11 @@ class RotationTable:
             raise MalformedInputError(f"dart ({v}, {i}) out of range")
         return Dart(int(self.entries[v - 1, i - 1]), int(self.ports[v - 1, i - 1]))
 
-    __call__ = image
-
     def darts(self) -> Iterator[Dart]:
         """All darts in row-major (vertex, port) order."""
         for v in range(1, self.num_vertices + 1):
             for i in range(1, self.degree + 1):
                 yield Dart(v, i)
-
-    def matrix_form(self) -> RotationMatrix:
-        """Drop the return ports, recovering the matrix form."""
-        return RotationMatrix(self.entries)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,9 +169,6 @@ class ValidationReport:
     is_valid_map: bool
     is_consistent: bool
     violations: tuple[Violation, ...]
-
-    def of_kind(self, kind: str) -> tuple[Violation, ...]:
-        return tuple(v for v in self.violations if v.kind == kind)
 
 
 def validate(rot: RotationMatrix) -> ValidationReport:
@@ -282,15 +263,3 @@ def to_full_form(rot: RotationMatrix) -> RotationTable:
     order = np.argsort(keys)
     partner = order[np.searchsorted(keys[order], (ent - 1) * n + np.arange(n)[:, None])]
     return RotationTable(entries=ent, ports=partner % d + 1)
-
-
-def incoming_labels(rot: RotationMatrix, w: int) -> list[int]:
-    """Ports under which edges enter w, as a sorted list (duplicates kept).
-
-    Always has exactly ``degree`` elements for a valid map; the map is
-    consistent at w exactly when they are pairwise distinct.
-    """
-    _require_valid(rot)
-    rot._check_vertex(w)
-    cols = np.nonzero(rot.entries == w)[1] + 1
-    return sorted(int(c) for c in cols)

@@ -18,15 +18,11 @@ class InvalidRotationMapError(RotmapsError, ValueError):
 
 
 class ParameterError(RotmapsError, ValueError):
-    """Family parameters outside their admissible domain or above a size ceiling."""
+    """A family parameter, size, search budget or tolerance outside its admissible domain."""
 
 
 class RegularityError(RotmapsError, ValueError):
     """The adjacency matrix is not regular, or has no edges where a positive degree is required."""
-
-
-class UnsupportedDegreeError(RotmapsError, ValueError):
-    """The row-scan inconsistency check only applies to graphs of degree >= 2."""
 
 
 class ConvergenceError(RotmapsError, RuntimeError):

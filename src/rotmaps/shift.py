@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dart, RotationMatrix, _require_valid, to_full_form
+from .core import RotationMatrix, _require_valid, to_full_form
 from .exceptions import InconsistentInputWarning, MalformedInputError
 
 __all__ = [
@@ -58,33 +58,6 @@ class ShiftPermutation:
     @property
     def size(self) -> int:
         return self.num_vertices * self.degree
-
-    def dart_index(self, dart) -> int:
-        v, i = dart
-        if not (1 <= v <= self.num_vertices and 1 <= i <= self.degree):
-            raise MalformedInputError(f"dart ({v}, {i}) out of range")
-        return (v - 1) * self.degree + i
-
-    def dart_at(self, index: int) -> Dart:
-        if not 1 <= index <= self.size:
-            raise MalformedInputError(f"dart index {index} outside 1..{self.size}")
-        return Dart((index - 1) // self.degree + 1, (index - 1) % self.degree + 1)
-
-    def apply(self, index: int) -> int:
-        """Image of a dart index."""
-        if not 1 <= index <= self.size:
-            raise MalformedInputError(f"dart index {index} outside 1..{self.size}")
-        return int(self.images[index - 1])
-
-    def image(self, dart) -> Dart:
-        """Image of a dart as a dart."""
-        return self.dart_at(self.apply(self.dart_index(dart)))
-
-    @property
-    def is_graphical(self) -> bool:
-        """True when no dart maps within its own vertex, as any map of a simple graph guarantees."""
-        idx = np.arange(self.size)
-        return bool(np.all(idx // self.degree != (self.images - 1) // self.degree))
 
 
 def build_shift(rot: RotationMatrix) -> ShiftPermutation:

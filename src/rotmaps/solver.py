@@ -2,7 +2,9 @@
 
 A consistent rotation map is the same thing as assigning each directed arc a
 label in 1..d such that labels are pairwise distinct both leaving and
-entering every vertex.  Two solvers cross-check each other:
+entering every vertex.  Both solvers read the arcs off the row-scan table
+(:func:`rotation_from_adjacency`: row v lists the vertices adjacent to v in
+increasing order), and they cross-check each other:
 
 * an exhaustive backtracking search over arcs in lexicographic order
   (complete but exponential in the worst case, meant for small graphs);
@@ -17,17 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adjacency import AdjacencyMatrix, adjacency_from_rotation
+from .adjacency import AdjacencyMatrix, adjacency_from_rotation, rotation_from_adjacency
 from .core import RotationMatrix, is_consistent
-from .exceptions import (
-    MalformedInputError,
-    RegularityError,
-    RotmapsError,
-    SearchBudgetExceededError,
-)
+from .exceptions import ParameterError, RotmapsError, SearchBudgetExceededError
 
 __all__ = [
-    "ArcLabeling",
     "solve_backtracking",
     "solve_matching",
     "agree",
@@ -36,119 +32,40 @@ __all__ = [
 DEFAULT_BUDGET = 1_000_000
 
 
-class ArcLabeling:
-    """Partial assignment of labels to directed arcs of a graph.
-
-    Maintains the two defining constraints incrementally: labels on arcs
-    leaving a vertex are distinct, and labels on arcs entering a vertex are
-    distinct.  A completed labeling is exactly a consistent rotation map.
-    """
-
-    def __init__(self, adjacency: AdjacencyMatrix):
-        self._adjacency = adjacency
-        self._n = adjacency.order
-        self._degree = adjacency.degree()
-        self._labels: dict[tuple[int, int], int] = {}
-        self._out_used = [0] * (self._n + 1)  # bitmask of labels leaving v
-        self._in_used = [0] * (self._n + 1)   # bitmask of labels entering w
-
-    @property
-    def degree(self) -> int:
-        return self._degree
-
-    @property
-    def num_assigned(self) -> int:
-        return len(self._labels)
-
-    @property
-    def is_complete(self) -> bool:
-        return len(self._labels) == self._n * self._degree
-
-    def label_of(self, v: int, w: int) -> int | None:
-        return self._labels.get((v, w))
-
-    def can_assign(self, v: int, w: int, label: int) -> bool:
-        if not (1 <= label <= self._degree and 1 <= v <= self._n and 1 <= w <= self._n):
-            return False
-        if self._adjacency.matrix[v - 1, w - 1] != 1 or (v, w) in self._labels:
-            return False
-        bit = 1 << label
-        return not (self._out_used[v] & bit or self._in_used[w] & bit)
-
-    def assign(self, v: int, w: int, label: int) -> None:
-        if not self.can_assign(v, w, label):
-            raise MalformedInputError(
-                f"cannot label arc ({v}, {w}) with {label}: "
-                "not an unlabeled arc, or label already used at an endpoint"
-            )
-        self._labels[(v, w)] = label
-        bit = 1 << label
-        self._out_used[v] |= bit
-        self._in_used[w] |= bit
-
-    def unassign(self, v: int, w: int) -> None:
-        label = self._labels.pop((v, w), None)
-        if label is None:
-            raise MalformedInputError(f"arc ({v}, {w}) carries no label")
-        bit = 1 << label
-        self._out_used[v] &= ~bit
-        self._in_used[w] &= ~bit
-
-    def to_rotation_matrix(self) -> RotationMatrix:
-        if not self.is_complete:
-            raise MalformedInputError(
-                f"labeling covers {self.num_assigned} of {self._n * self._degree} arcs"
-            )
-        entries = np.zeros((self._n, self._degree), dtype=np.int64)
-        for (v, w), label in self._labels.items():
-            entries[v - 1, label - 1] = w
-        return RotationMatrix(entries)
-
-
-def _checked_degree(adjacency: AdjacencyMatrix) -> int:
-    d = adjacency.degree()
-    if d < 1:
-        raise RegularityError("graph has no edges; nothing to label")
-    return d
-
-
 def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET) -> RotationMatrix:
     """Exhaustive search for a consistent map, deterministic and complete.
 
-    Arcs are visited in lexicographic (v, w) order and labels tried in
-    ascending order, so the first solution found is a fixed function of the
-    input.  ``budget`` caps the number of search nodes (one per arc visit);
-    exceeding it raises SearchBudgetExceededError, which is an inconclusive
-    outcome, not evidence that no labeling exists (one always does).
+    Arcs are visited in lexicographic (v, w) order, the row-major order of
+    the row-scan table, and labels tried in ascending order, so the first
+    solution found is a fixed function of the input.  ``budget`` (at least 1)
+    caps the number of search nodes (one per arc visit); exceeding it raises
+    SearchBudgetExceededError, which is an inconclusive outcome, not
+    evidence that no labeling exists (one always does).
     """
-    d = _checked_degree(adjacency)
-    arcs = [
-        (v, int(w))
-        for v in range(1, adjacency.order + 1)
-        for w in adjacency.neighbors(v)
-    ]
-    labeling = ArcLabeling(adjacency)
+    if budget < 1:
+        raise ParameterError(f"backtracking budget must be at least 1, got {budget}")
+    scan = rotation_from_adjacency(adjacency).entries
+    n, d = scan.shape
+    heads = (scan - 1).ravel().tolist()  # arc k leaves vertex k // d and enters heads[k]
+    out_used = [0] * n  # bitmask of labels leaving each vertex
+    in_used = [0] * n   # bitmask of labels entering each vertex
+    # labels[k]: the label on arc k, or 0 while the search has not reached it;
+    # after a backtrack to k the search resumes from labels[k] + 1
+    labels = [0] * (n * d)
 
-    # explicit stack instead of recursion; next_try[k] is the label to resume
-    # from when position k is revisited after a backtrack
-    n_arcs = len(arcs)
-    next_try = [1] * (n_arcs + 1)
     pos = 0
     nodes = 1  # entering position 0
-    if nodes > budget:
-        raise SearchBudgetExceededError(
-            f"backtracking budget of {budget} nodes exhausted", nodes_explored=nodes
-        )
-    while pos < n_arcs:
-        v, w = arcs[pos]
-        label = next_try[pos]
-        while label <= d and not labeling.can_assign(v, w, label):
+    while pos < n * d:
+        v, w = pos // d, heads[pos]
+        used = out_used[v] | in_used[w]
+        label = labels[pos] + 1
+        while label <= d and used >> label & 1:
             label += 1
         if label <= d:
-            labeling.assign(v, w, label)
-            next_try[pos] = label + 1
+            labels[pos] = label
+            out_used[v] |= 1 << label
+            in_used[w] |= 1 << label
             pos += 1
-            next_try[pos] = 1
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceededError(
@@ -157,9 +74,15 @@ def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET)
         else:
             if pos == 0:  # unreachable for a valid regular adjacency matrix
                 raise RotmapsError("search space exhausted without a labeling")
+            labels[pos] = 0
             pos -= 1
-            labeling.unassign(*arcs[pos])
-    return labeling.to_rotation_matrix()
+            bit = 1 << labels[pos]
+            out_used[pos // d] &= ~bit
+            in_used[heads[pos]] &= ~bit
+
+    entries = np.empty_like(scan)
+    entries[np.arange(n).repeat(d), np.array(labels) - 1] = scan.ravel()
+    return RotationMatrix(entries)
 
 
 def _augment(root: int, remaining: list[list[int]], match_in: list[int],
@@ -199,13 +122,12 @@ def _augment(root: int, remaining: list[list[int]], match_in: list[int],
     return False
 
 
-def _check_labels(adjacency: AdjacencyMatrix, entries: np.ndarray) -> None:
-    """Each labelled pair is an arc, labelled once, and no label repeats at either end."""
-    n = adjacency.order
-    is_arc = adjacency.matrix[np.arange(n)[:, None], entries - 1].all()
+def _check_labels(scan: np.ndarray, entries: np.ndarray) -> None:
+    """Each output row, sorted, is its row-scan row, and each column is a permutation."""
+    n = scan.shape[0]
+    same_arcs = np.array_equal(np.sort(entries, axis=1), scan)
     in_distinct = (np.sort(entries, axis=0) == np.arange(1, n + 1)[:, None]).all()
-    arc_once = (np.diff(np.sort(entries, axis=1), axis=1) != 0).all()
-    if not (is_arc and in_distinct and arc_once):
+    if not (same_arcs and in_distinct):
         raise RotmapsError("matching rounds did not label every arc exactly once")
 
 
@@ -221,9 +143,9 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
     Removing a perfect matching from a regular bipartite graph keeps it
     regular, so every round succeeds.
     """
-    d = _checked_degree(adjacency)
-    n = adjacency.order
-    remaining = np.nonzero(adjacency.matrix)[1].reshape(n, d).tolist()
+    scan = rotation_from_adjacency(adjacency).entries
+    n, d = scan.shape
+    remaining = (scan - 1).tolist()
     entries = np.zeros((n, d), dtype=np.int64)
 
     for label in range(1, d + 1):
@@ -244,7 +166,7 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
             remaining[u].remove(w)
 
     entries += 1
-    _check_labels(adjacency, entries)
+    _check_labels(scan, entries)
     return RotationMatrix(entries)
 
 

@@ -71,7 +71,7 @@ def is_connected(adj):
     while frontier:
         nxt = []
         for v in frontier:
-            for w in adj.neighbors(v):
+            for w in np.nonzero(adj.matrix[v - 1])[0] + 1:
                 w = int(w)
                 if w not in seen:
                     seen.add(w)

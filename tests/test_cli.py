@@ -168,6 +168,12 @@ class TestAdjacencyCommands:
         assert main(["solve", adj, "--method", "backtrack", "--budget", "2"]) == 1
         assert "inconclusive" in capsys.readouterr().err
 
+    def test_solve_budget_below_one_is_one_error_line(self, tmp_path, capsys):
+        adj = write(tmp_path, "c4.adj", format_adj(adjacency_from_rotation(cycle(4))))
+        assert main(["solve", adj, "--method", "backtrack", "--budget", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "budget" in err
+
     @pytest.mark.parametrize("error", [RecursionError, MemoryError])
     def test_unexpected_error_is_one_line(self, tmp_path, capsys, monkeypatch, error):
         def crash(args):
@@ -206,6 +212,16 @@ class TestAdjacencyCommands:
         assert "vertices: 24" in out
         assert "regularity: 4" in out
         assert "edges: 48" in out
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_spectrum_bad_tolerance_is_one_error_line(self, tmp_path, capsys, tol):
+        c6 = write(tmp_path, "c6.adj", format_adj(adjacency_from_rotation(cycle(6))))
+        c4 = write(tmp_path, "c4.adj", format_adj(adjacency_from_rotation(cycle(4))))
+        assert main(["spectrum", c6, c4, "--spectrum-tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert "tolerance" in captured.err
 
     def test_spectrum_non_regular(self, tmp_path, capsys):
         adj = write(tmp_path, "path.adj", "0,1,0\n1,0,1\n0,1,0\n")

@@ -21,9 +21,11 @@ from rotmaps import (
     Violation,
     adjacency_from_rotation,
     build_shift,
+    cartesian_adjacency,
     cartesian_rotation,
     is_consistent,
     rotation_from_adjacency,
+    solve_backtracking,
     solve_matching,
     to_full_form,
     validate,
@@ -179,6 +181,17 @@ def test_solve_matching_recovers_the_graph(adj):
     assert solve_matching(adj) == rot
 
 
+@PROPERTY
+@given(regular_graphs())
+def test_solve_backtracking_recovers_the_graph(adj):
+    # the default budget of 10^6 nodes is over 250 times the most that any of
+    # 3 000 sampled graphs of this strategy needed (3 754 nodes)
+    rot = solve_backtracking(adj)
+    assert is_consistent(rot)
+    assert adjacency_from_rotation(rot) == adj
+    assert solve_backtracking(adj) == rot
+
+
 def box_product_edges(a1, a2):
     """Vertex pairs of the box product, vertex (g, h) numbered (h-1)*|V_1| + g.
 
@@ -204,6 +217,8 @@ def test_product_of_solved_maps_is_the_consistent_box_product(a1, a2):
     assert is_consistent(prod)
     pairs = {(v + 1, int(w)) for v, row in enumerate(prod.entries) for w in row}
     assert pairs == box_product_edges(a1, a2)
+    rows, cols = np.nonzero(cartesian_adjacency(a1, a2).matrix)
+    assert set(zip((rows + 1).tolist(), (cols + 1).tolist())) == box_product_edges(a1, a2)
 
 
 @PROPERTY

@@ -1,11 +1,10 @@
-"""Dart shift permutations: indexing, involution, and the unitarity check."""
+"""Dart shift permutations: involution and the unitarity check."""
 
 import numpy as np
 import pytest
 
 from conftest import CORPUS, random_regular_adjacency
 from rotmaps import (
-    Dart,
     InconsistentInputWarning,
     InvalidRotationMapError,
     MalformedInputError,
@@ -21,13 +20,19 @@ from rotmaps import (
 TRIANGLE = RotationMatrix([[2, 3], [3, 1], [1, 2]])
 
 
+def is_graphical(shift):
+    """No dart maps to a dart of its own vertex, as any map of a simple graph guarantees."""
+    return (np.arange(shift.size) // shift.degree != (shift.images - 1) // shift.degree).all()
+
+
 class TestBuildShift:
     def test_triangle_images(self):
         # darts of the 3-cycle map pair up as (1,1)<->(2,2), (1,2)<->(3,1), (2,1)<->(3,2)
         shift = build_shift(TRIANGLE)
         assert shift.size == 6
         assert shift.images.tolist() == [4, 5, 6, 1, 2, 3]
-        assert shift.image(Dart(1, 1)) == Dart(2, 2)
+        # dart index 4 is dart (2, 2)
+        assert divmod(int(shift.images[0]) - 1, shift.degree) == (1, 1)
 
     def test_k2(self):
         shift = build_shift(RotationMatrix([[2], [1]]))
@@ -37,7 +42,7 @@ class TestBuildShift:
         shift = build_shift(cartesian_rotation(cycle(6), cycle(4)))
         assert shift.size == 24 * 4 == 96
         assert verify_unitary(shift)
-        assert shift.is_graphical
+        assert is_graphical(shift)
 
     def test_invalid_map_rejected(self):
         with pytest.raises(InvalidRotationMapError):
@@ -54,7 +59,7 @@ class TestBuildShift:
         shift = build_shift(rot)
         assert shift.size == rot.num_vertices * rot.degree
         assert verify_unitary(shift)
-        assert shift.is_graphical
+        assert is_graphical(shift)
 
     def test_cubic_60_vertex_graph_has_180_darts(self):
         adj = random_regular_adjacency(60, 3, seed=6003)
@@ -64,16 +69,10 @@ class TestBuildShift:
 
 
 class TestShiftPermutation:
-    def test_dart_indexing(self):
-        shift = build_shift(TRIANGLE)
-        assert shift.dart_index(Dart(2, 2)) == 4
-        assert shift.dart_at(4) == Dart(2, 2)
-        assert shift.apply(1) == 4
-
     def test_identity_is_unitary_but_not_graphical(self):
         identity = ShiftPermutation(num_vertices=3, degree=2, images=np.arange(1, 7))
         assert verify_unitary(identity)
-        assert not identity.is_graphical
+        assert not is_graphical(identity)
 
     def test_non_bijection_fails(self):
         collide = ShiftPermutation(num_vertices=3, degree=2,

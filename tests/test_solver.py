@@ -6,8 +6,7 @@ import pytest
 from conftest import CORPUS, random_regular_adjacency
 from rotmaps import (
     AdjacencyMatrix,
-    ArcLabeling,
-    MalformedInputError,
+    ParameterError,
     RegularityError,
     RotmapsError,
     SearchBudgetExceededError,
@@ -18,6 +17,7 @@ from rotmaps import (
     cycle,
     generalized_petersen,
     is_consistent,
+    rotation_from_adjacency,
     solve_backtracking,
     solve_matching,
 )
@@ -29,49 +29,6 @@ K2_ADJ = AdjacencyMatrix([[0, 1], [1, 0]])
 
 def petersen_adjacency():
     return adjacency_from_rotation(generalized_petersen(5, 2))
-
-
-class TestArcLabeling:
-    def test_assign_and_complete(self):
-        lab = ArcLabeling(K2_ADJ)
-        lab.assign(1, 2, 1)
-        lab.assign(2, 1, 1)
-        assert lab.is_complete
-        assert lab.to_rotation_matrix().entries.tolist() == [[2], [1]]
-
-    def test_out_distinct_enforced(self):
-        lab = ArcLabeling(K3_ADJ)
-        lab.assign(1, 2, 1)
-        assert not lab.can_assign(1, 3, 1)
-        with pytest.raises(MalformedInputError):
-            lab.assign(1, 3, 1)
-
-    def test_in_distinct_enforced(self):
-        lab = ArcLabeling(K3_ADJ)
-        lab.assign(2, 1, 1)
-        assert not lab.can_assign(3, 1, 1)
-        assert lab.can_assign(3, 1, 2)
-
-    def test_non_arcs_rejected(self):
-        lab = ArcLabeling(K3_ADJ)
-        assert not lab.can_assign(1, 1, 1)
-        ring = adjacency_from_rotation(cycle(4))
-        assert not ArcLabeling(ring).can_assign(1, 3, 1)
-
-    def test_unassign_restores(self):
-        lab = ArcLabeling(K3_ADJ)
-        lab.assign(1, 2, 1)
-        lab.unassign(1, 2)
-        assert lab.label_of(1, 2) is None
-        assert lab.can_assign(1, 2, 1)
-        with pytest.raises(MalformedInputError):
-            lab.unassign(1, 2)
-
-    def test_incomplete_cannot_export(self):
-        lab = ArcLabeling(K3_ADJ)
-        lab.assign(1, 2, 1)
-        with pytest.raises(MalformedInputError):
-            lab.to_rotation_matrix()
 
 
 class TestBacktracking:
@@ -98,6 +55,11 @@ class TestBacktracking:
         with pytest.raises(SearchBudgetExceededError) as info:
             solve_backtracking(petersen_adjacency(), budget=3)
         assert info.value.nodes_explored == 4
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ParameterError):
+            solve_backtracking(K3_ADJ, budget=budget)
 
     def test_edgeless_rejected(self):
         with pytest.raises(RegularityError):
@@ -137,10 +99,10 @@ class TestMatching:
 
 
 class TestLabelCheck:
-    C4_ADJ = adjacency_from_rotation(cycle(4))
+    C4_SCAN = rotation_from_adjacency(adjacency_from_rotation(cycle(4))).entries
 
     def test_consistent_table_passes(self):
-        _check_labels(self.C4_ADJ, np.array([[2, 4], [3, 1], [4, 2], [1, 3]]))
+        _check_labels(self.C4_SCAN, np.array([[2, 4], [3, 1], [4, 2], [1, 3]]))
 
     @pytest.mark.parametrize("table", [
         [[3, 4], [4, 1], [1, 2], [2, 3]],  # (1, 3) is not an arc
@@ -149,7 +111,7 @@ class TestLabelCheck:
     ], ids=["non-arc", "label-repeats", "arc-twice"])
     def test_bad_table_rejected(self, table):
         with pytest.raises(RotmapsError):
-            _check_labels(self.C4_ADJ, np.array(table))
+            _check_labels(self.C4_SCAN, np.array(table))
 
 
 class TestMatchingScale:
@@ -177,3 +139,7 @@ class TestAgree:
 
     def test_inconclusive_on_tiny_budget(self):
         assert agree(petersen_adjacency(), budget=3) is None
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ParameterError):
+            agree(petersen_adjacency(), budget=0)

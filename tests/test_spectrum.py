@@ -14,6 +14,7 @@ from rotmaps import (
     AdjacencyMatrix,
     ConvergenceError,
     MalformedInputError,
+    ParameterError,
     RotmapsError,
     Spectrum,
     adjacency_from_rotation,
@@ -135,6 +136,11 @@ class TestProductPropertyCheck:
         expected = np.sort((factor[:, None] + factor[None, :]).ravel())[::-1]
         assert np.max(np.abs(eigvalsh_oracle(prod) - expected)) < 1e-8
         assert product_property_check(c3, c3).all_hold
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        with pytest.raises(ParameterError):
+            product_property_check(K2_ADJ, K2_ADJ, spectrum_tol=tol)
 
     def test_failure_naming(self):
         report = product_property_check(K2_ADJ, K3_ADJ)
