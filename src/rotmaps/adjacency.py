@@ -105,9 +105,10 @@ class Spectrum:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size == 0:
             raise MalformedInputError(f"spectrum must be a nonempty vector, got shape {vals.shape}")
-        if np.any(np.diff(vals) > 0):
-            raise MalformedInputError("spectrum values must be sorted nonincreasing")
-        if self.tolerance < 0:
+        # NaN fails every comparison, and each value but a lone one is in a difference
+        if not (np.diff(vals) <= 0).all() or np.isnan(vals[0]):
+            raise MalformedInputError("spectrum values must be sorted nonincreasing, with no NaN")
+        if not self.tolerance >= 0:  # also false for NaN
             raise MalformedInputError("tolerance must be nonnegative")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

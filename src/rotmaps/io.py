@@ -8,6 +8,11 @@ parse(format(x)) == x is a hard guarantee:
 * ``.adj``:  n rows of n comma-separated 0/1 digits.
 * ``.perm``: header ``N d``, then N*d lines ``v i w j`` pairing darts.
 
+Canonical text is read in one pass over its bytes, with no loop over
+tokens or cells; for .rot and .perm that includes the same text with CRLF
+line ends.  Any other layout (tabs, padded tokens, no final newline,
+malformed input) is read row by row, which names the first malformed row.
+
 Plus one-way exports: DOT (undirected graph, each edge labeled with its two
 ports) and JSON (``{"n":…,"d":…,"rot":[[…]]}``).
 """
@@ -65,50 +70,80 @@ def _format_rows(header: str, table: np.ndarray) -> str:
     return f"{header}\n" + line * rows % tuple(table.ravel().tolist())
 
 
-def _int_rows(lines: list[str], width: int) -> np.ndarray | None:
-    """The lines as an int64 table, or None unless each holds ``width`` int64 values.
+def _canonical_table(text: str) -> tuple[tuple[int, int], np.ndarray] | None:
+    """The header values and int64 rows of canonical .rot or .perm text, or None.
 
-    Joined with a token no integer matches, the tokens of well-formed lines
-    have separators at every (width+1)-th place; any other layout puts a
-    separator among the values, where ``int`` rejects it.
+    Canonical text is a header ``a b`` and then rows of equally many runs of
+    at most 18 digits, one space between runs and ``\n`` after each line;
+    ``\r\n`` line ends are read as ``\n``.  The non-digit bytes end the
+    tokens, and each value is built by Horner's rule from one gather of
+    uint8 digits per digit place, so no int64 array has one element per
+    byte.
     """
-    tokens = " | ".join(lines).split()
-    if len(tokens) != len(lines) * (width + 1) - 1:
+    if "\r" in text:  # a scan for '\r' costs far less than a replace that finds none
+        text = text.replace("\r\n", "\n")
+    if not text.isascii() or not text.endswith("\n"):
         return None
-    del tokens[width::width + 1]
-    try:
-        return np.array(list(map(int, tokens)), dtype=np.int64).reshape(len(lines), width)
-    except (ValueError, OverflowError):
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(buf - np.uint8(ord("0")) > 9)  # bytes below '0' wrap past 9
+    lengths = np.diff(ends, prepend=-1) - 1
+    if ends.size < 3 or lengths.min() < 1 or lengths.max() > 18:  # 18 digits fit in int64
         return None
+    lengths = lengths.astype(np.uint8)
+    seps = buf[ends]
+    width = int(np.argmax(seps[2:] == ord("\n"))) + 1
+    layout = np.array([ord(" ")] * (width - 1) + [ord("\n")], dtype=np.uint8)
+    if (seps[:2].tolist() != [ord(" "), ord("\n")] or (ends.size - 2) % width
+            or not (seps[2:].reshape(-1, width) == layout).all()):
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    for place in range(lengths.max(), 0, -1):  # most significant place first
+        digits = buf[ends - place]
+        digits -= ord("0")
+        digits *= lengths >= place  # shorter tokens have no digit at this place
+        values *= 10
+        values += digits
+    n, d = values[:2].tolist()
+    return (n, d), values[2:].reshape(-1, width)
 
 
 def format_rot(rot: RotationMatrix) -> str:
     return _format_rows(f"{rot.num_vertices} {rot.degree}", rot.entries)
 
 
-def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
-    """Strict parse of the .rot format.
-
-    By default the parsed table must also be a valid map (that is part of
-    the format contract); pass ``require_valid_map=False`` to get the raw
-    table for diagnostic reporting.
-    """
+def _rot_rows(text: str) -> np.ndarray:
+    """Row-by-row read of any .rot text, naming the first malformed row."""
     lines, n, d = _read_header(text, "rotation", "n d")
     if len(lines) - 1 != n:
         raise MalformedInputError(f"expected {n} rows after the header, got {len(lines) - 1}")
-    table = _int_rows(lines[1:], d)
-    if table is None:  # name the first malformed row
-        rows = []
-        for number, line in enumerate(lines[1:], start=1):
-            parts = line.split()
-            if len(parts) != d:
-                raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
-            row = [_parse_int(p, f"row {number}") for p in parts]
-            big = next((x for x in row if not -2**63 <= x < 2**63), None)
-            if big is not None:
-                raise MalformedInputError(f"row {number}: entry {big} does not fit in 64 bits")
-            rows.append(row)
-        table = np.array(rows, dtype=np.int64)
+    rows = []
+    for number, line in enumerate(lines[1:], start=1):
+        parts = line.split()
+        if len(parts) != d:
+            raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
+        try:
+            row = list(map(int, parts))
+        except ValueError:
+            row = [_parse_int(p, f"row {number}") for p in parts]  # raises, naming the token
+        if min(row) < -2**63 or max(row) >= 2**63:
+            big = next(x for x in row if not -2**63 <= x < 2**63)
+            raise MalformedInputError(f"row {number}: entry {big} does not fit in 64 bits")
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
+    """Strict parse of the .rot format.
+
+    Canonical text, with LF or CRLF line ends, is read in one pass over its
+    bytes; any other layout (tabs, padded tokens, no final newline,
+    malformed input) is read row by row, which names the first malformed
+    row.  By default the parsed table must also be a valid map (that is
+    part of the format contract); pass ``require_valid_map=False`` to get
+    the raw table for diagnostic reporting.
+    """
+    read = _canonical_table(text)
+    table = read[1] if read is not None and read[1].shape == read[0] else _rot_rows(text)
     rot = RotationMatrix(table)
     if require_valid_map:
         report = validate(rot)
@@ -184,31 +219,47 @@ def format_perm(shift: ShiftPermutation) -> str:
     return _format_rows(f"{shift.num_vertices} {d}", darts)
 
 
-def parse_perm(text: str) -> ShiftPermutation:
-    """Strict parse of the .perm format; the pairs must form an involutive permutation."""
+def _perm_lines(text: str) -> tuple[int, int, np.ndarray]:
+    """Line-by-line read of any .perm text, naming the first malformed line."""
     lines, n, d = _read_header(text, "permutation", "N d")
     size = n * d
     if len(lines) - 1 != size:
         raise MalformedInputError(f"expected {size} dart lines, got {len(lines) - 1}")
-    darts = _int_rows(lines[1:], 4)
-    images = np.zeros(size, dtype=np.int64)
-    if darts is not None and ((darts >= 1) & (darts <= [n, d, n, d])).all():
-        images[(darts[:, 0] - 1) * d + darts[:, 1] - 1] = (darts[:, 2] - 1) * d + darts[:, 3]
+    images = [0] * size
+    for number, line in enumerate(lines[1:], start=1):
+        parts = line.split()
+        if len(parts) != 4:
+            raise MalformedInputError(f"line {number}: expected 'v i w j', got {line!r}")
+        try:
+            v, i, w, j = map(int, parts)
+        except ValueError:
+            v, i, w, j = (_parse_int(p, f"line {number}") for p in parts)  # raises, naming the token
+        if not (1 <= v <= n and 1 <= i <= d and 1 <= w <= n and 1 <= j <= d):
+            raise MalformedInputError(f"line {number}: dart out of range: {line!r}")
+        src = (v - 1) * d + i
+        if images[src - 1]:  # images are at least 1, so a set one marks a dart seen
+            raise MalformedInputError(f"line {number}: dart ({v}, {i}) listed twice")
+        images[src - 1] = (w - 1) * d + j
+    return n, d, np.array(images, dtype=np.int64)
+
+
+def parse_perm(text: str) -> ShiftPermutation:
+    """Strict parse of the .perm format; the pairs must form an involutive permutation.
+
+    Canonical text, with LF or CRLF line ends, is read in one pass over its
+    bytes; any other layout, or darts out of range or listed twice, is read
+    line by line, which names the first malformed line.
+    """
+    read = _canonical_table(text)
+    images = None
+    if read is not None:
+        (n, d), darts = read
+        if darts.shape == (n * d, 4) and ((darts >= 1) & (darts <= [n, d, n, d])).all():
+            images = np.zeros(n * d, dtype=np.int64)
+            images[(darts[:, 0] - 1) * d + darts[:, 1] - 1] = (darts[:, 2] - 1) * d + darts[:, 3]
     # one line per dart, so an unset image means some dart was listed twice
-    if not images.all():  # name the first malformed line
-        seen = np.zeros(size, dtype=bool)
-        for number, line in enumerate(lines[1:], start=1):
-            parts = line.split()
-            if len(parts) != 4:
-                raise MalformedInputError(f"line {number}: expected 'v i w j', got {line!r}")
-            v, i, w, j = (_parse_int(p, f"line {number}") for p in parts)
-            if not (1 <= v <= n and 1 <= i <= d and 1 <= w <= n and 1 <= j <= d):
-                raise MalformedInputError(f"line {number}: dart out of range: {line!r}")
-            src = (v - 1) * d + i
-            if seen[src - 1]:
-                raise MalformedInputError(f"line {number}: dart ({v}, {i}) listed twice")
-            seen[src - 1] = True
-            images[src - 1] = (w - 1) * d + j
+    if images is None or not images.all():
+        n, d, images = _perm_lines(text)
     shift = ShiftPermutation(num_vertices=n, degree=d, images=images)
     if not verify_unitary(shift):
         raise MalformedInputError("dart pairs do not form an involutive permutation")

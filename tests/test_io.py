@@ -10,6 +10,7 @@ from rotmaps import (
     RotationMatrix,
     adjacency_from_rotation,
     build_shift,
+    cartesian_rotation,
     cycle,
     validate,
 )
@@ -174,6 +175,49 @@ class TestPermFormat:
     def test_other_whitespace_accepted(self):
         text = TRIANGLE_PERM_FILE.replace("\n", "\r\n").replace("2 1 3 2", "2  1 3\t2")
         assert parse_perm(text).images.tolist() == [4, 5, 6, 1, 2, 3]
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while ``call()`` runs, whether it returns or raises."""
+    tracemalloc.start()
+    try:
+        call()
+    except MalformedInputError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.fixture(scope="module")
+def torus_texts():
+    """.rot and .perm text of C400 x C250: 10^5 vertices, 4*10^5 darts."""
+    rot = cartesian_rotation(cycle(400), cycle(250))
+    return {"rot": format_rot(rot), "perm": format_perm(build_shift(rot))}
+
+
+class TestCanonicalReadMemory:
+    # Each bound sits above the peak measured on C400 x C250 (39 MB for
+    # parse_rot, most of it the validity check; 51 MB for parse_perm) and
+    # below the 50 MB and 134 MB that a token-by-token read of the same text
+    # takes, so a return to one fails.
+    @pytest.mark.parametrize("kind,parse,bound", [("rot", parse_rot, 45e6),
+                                                  ("perm", parse_perm, 65e6)])
+    def test_peak_on_100k_vertices(self, torus_texts, kind, parse, bound):
+        assert traced_peak(lambda: parse(torus_texts[kind])) < bound
+
+    @pytest.mark.parametrize("parse,text,message", [
+        (parse_rot, "1000000000000 2" + C5_FILE[3:],
+         "expected 1000000000000 rows after the header, got 5"),
+        (parse_perm, "1000000000000 2" + TRIANGLE_PERM_FILE[3:],
+         "expected 2000000000000 dart lines, got 6"),
+    ])
+    def test_header_claiming_1e12_rows_allocates_nothing_by_it(self, parse, text, message):
+        with pytest.raises(MalformedInputError) as info:
+            parse(text)
+        assert str(info.value) == message
+        assert traced_peak(lambda: parse(text)) < 1e6
 
 
 class TestExports:

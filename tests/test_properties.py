@@ -3,12 +3,16 @@
 ``reference_validate`` is the row-by-row validity check the vectorized
 :func:`rotmaps.validate` replaced; the reports must agree exactly, in kinds,
 locations, messages and order.  Likewise ``parse_adj`` must agree with the
-cell-by-cell read it keeps for non-canonical text, on every text.
+cell-by-cell read it keeps for non-canonical text, on every text, and
+``parse_rot``/``parse_perm`` with the line-by-line ``reference_parse_rot``
+and ``reference_parse_perm``, in the table or in the error message.
 """
 
+import re
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +20,16 @@ from conftest import random_regular_adjacency
 from rotmaps import (
     AdjacencyMatrix,
     InconsistentInputWarning,
+    MalformedInputError,
     RotationMatrix,
+    ShiftPermutation,
     ValidationReport,
     Violation,
     adjacency_from_rotation,
     build_shift,
     cartesian_adjacency,
     cartesian_rotation,
+    cycle,
     is_consistent,
     rotation_from_adjacency,
     solve_backtracking,
@@ -288,3 +295,178 @@ def outcome(parse, text):
 @given(adj_texts())
 def test_parse_adj_agrees_with_cell_by_cell_read(text):
     assert outcome(parse_adj, text) == outcome(lambda t: AdjacencyMatrix(_adj_rows(t)), text)
+
+
+def reference_int(token, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise MalformedInputError(f"{what}: {token!r} is not an integer") from None
+
+
+def reference_header(lines, kind, form):
+    """The two positive header values of a .rot or .perm file."""
+    if not lines:
+        raise MalformedInputError(f"empty {kind} file")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise MalformedInputError(f"header must be '{form}', got {lines[0]!r}")
+    n = reference_int(header[0], "header vertex count")
+    d = reference_int(header[1], "header degree")
+    if n < 1 or d < 1:
+        raise MalformedInputError(f"header values must be positive, got {n} {d}")
+    return n, d
+
+
+def reference_parse_rot(text, require_valid_map=True):
+    """Line by line with ``splitlines``, ``split`` and ``int``."""
+    lines = text.splitlines()
+    n, d = reference_header(lines, "rotation", "n d")
+    if len(lines) - 1 != n:
+        raise MalformedInputError(f"expected {n} rows after the header, got {len(lines) - 1}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=1):
+        parts = line.split()
+        if len(parts) != d:
+            raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
+        row = [reference_int(p, f"row {number}") for p in parts]
+        for x in row:
+            if not -2**63 <= x < 2**63:
+                raise MalformedInputError(f"row {number}: entry {x} does not fit in 64 bits")
+        rows.append(row)
+    rot = RotationMatrix(np.array(rows, dtype=np.int64))
+    if require_valid_map:
+        report = reference_validate(rot.entries)
+        if not report.is_valid_map:
+            first = next(v for v in report.violations if v.kind != "duplicate-in-column")
+            raise MalformedInputError(f"file does not describe a valid rotation map: {first}")
+    return rot
+
+
+def reference_parse_perm(text):
+    """Line by line with ``splitlines``, ``split`` and ``int``; then the involution check."""
+    lines = text.splitlines()
+    n, d = reference_header(lines, "permutation", "N d")
+    if len(lines) - 1 != n * d:
+        raise MalformedInputError(f"expected {n * d} dart lines, got {len(lines) - 1}")
+    images = [0] * (n * d)
+    for number, line in enumerate(lines[1:], start=1):
+        parts = line.split()
+        if len(parts) != 4:
+            raise MalformedInputError(f"line {number}: expected 'v i w j', got {line!r}")
+        v, i, w, j = (reference_int(p, f"line {number}") for p in parts)
+        if not (1 <= v <= n and 1 <= i <= d and 1 <= w <= n and 1 <= j <= d):
+            raise MalformedInputError(f"line {number}: dart out of range: {line!r}")
+        if images[(v - 1) * d + i - 1]:
+            raise MalformedInputError(f"line {number}: dart ({v}, {i}) listed twice")
+        images[(v - 1) * d + i - 1] = (w - 1) * d + j
+    if any(images[k - 1] != src for src, k in enumerate(images, start=1)):
+        raise MalformedInputError("dart pairs do not form an involutive permutation")
+    return n, d, images
+
+
+MUTATIONS = [
+    "canonical", "crlf", "tab", "comma", "double-space", "no-final-newline",
+    "unterminated-extra-row", "trailing-blank-line", "blank-row", "repeated-row", "header-split",
+    "header-only", "changed-token", "leading-zeros", "plus", "underscore", "non-ascii-digit",
+    "19-digits", "lone-cr", "corrupt",
+]
+
+
+@st.composite
+def table_texts(draw, mutation):
+    """The .rot text of a random table or the .perm text of a valid map, then one mutation.
+
+    The table or map is small, or large enough for vertex ids of several
+    digits: a seeded table of up to 300 rows, or the product of a valid map
+    and a cycle.  The mutations are what a hand-edited or foreign file can
+    carry: CRLF or a lone CR, other whitespace, missing, blank or extra
+    lines, tokens that ``int`` accepts but the canonical layout does not
+    (leading zeros, ``+7``, ``1_0``, a non-ASCII digit), tokens of 19
+    digits, changed values and stray bytes.
+    """
+    wide = draw(st.booleans())
+    if draw(st.booleans()):
+        if wide:
+            n, d = draw(st.integers(10, 300)), draw(st.integers(1, 12))
+            table = np.random.default_rng(draw(st.integers(0, 2**16))).integers(1, n + 1, (n, d))
+        else:
+            table = draw(tables())
+        text = format_rot(RotationMatrix(table))
+    else:
+        rot = draw(valid_maps())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InconsistentInputWarning)
+            if wide:
+                rot = cartesian_rotation(rot, cycle(draw(st.integers(3, 60))))
+            text = format_perm(build_shift(rot))
+    tokens = [m.start() for m in re.finditer(r"\d+", text)]
+    at = tokens[draw(st.integers(0, len(tokens) - 1))]
+    spaces = [k for k, c in enumerate(text) if c == " "]
+    space = spaces[draw(st.integers(0, len(spaces) - 1))]
+    if mutation == "crlf":
+        return text.replace("\n", "\r\n")
+    if mutation in ("tab", "comma", "double-space"):
+        separator = {"tab": "\t", "comma": ",", "double-space": "  "}[mutation]
+        return text[:space] + separator + text[space + 1:]
+    if mutation == "no-final-newline":
+        return text[:-1]
+    if mutation == "unterminated-extra-row":
+        return text + text.split("\n")[1]
+    if mutation == "trailing-blank-line":
+        return text + "\n"
+    if mutation in ("blank-row", "repeated-row"):
+        lines = text.split("\n")
+        row = draw(st.integers(1, len(lines) - 2))
+        lines[row] = "" if mutation == "blank-row" else lines[draw(st.integers(1, len(lines) - 2))]
+        return "\n".join(lines)
+    if mutation == "header-split":
+        return text.replace(" ", "\n", 1)
+    if mutation in ("leading-zeros", "plus", "underscore"):
+        prefix = {"leading-zeros": "0" * draw(st.integers(1, 20)), "plus": "+", "underscore": "1_"}
+        return text[:at] + prefix[mutation] + text[at:]
+    if mutation == "non-ascii-digit":
+        return text[:at] + "\u0663" + text[at + 1:]  # ARABIC-INDIC DIGIT THREE, an int() digit
+    if mutation in ("changed-token", "19-digits"):
+        if mutation == "changed-token":
+            value = draw(st.integers(0, 999))
+        else:
+            value = draw(st.integers(10**18, 2**63 - 1) | st.integers(2**63, 10**19 - 1))
+        end = re.match(r"\d+", text[at:]).end() + at
+        return text[:at] + str(value) + text[end:]
+    if mutation == "lone-cr":
+        k = draw(st.integers(0, len(text)))
+        return text[:k] + "\r" + text[k:]
+    if mutation == "header-only":
+        return text[:text.index("\n") + 1]
+    if mutation == "corrupt":
+        k = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(["", "0", "9", " ", "\n", "\r", "\t", "-", "x", "\u0663"]))
+        return text[:k] + byte + text[k + draw(st.sampled_from([0, 1])):]
+    return text
+
+
+def read_outcome(parse, text):
+    try:
+        result = parse(text)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    if isinstance(result, RotationMatrix):
+        return result.entries.tolist()
+    if isinstance(result, ShiftPermutation):
+        return result.num_vertices, result.degree, result.images.tolist()
+    return result
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(PROPERTY, max_examples=40)
+@given(data=st.data())
+def test_rot_and_perm_readers_agree_with_line_by_line_reference(mutation, data):
+    text = data.draw(table_texts(mutation))
+    for parse, reference in [
+        (parse_rot, reference_parse_rot),
+        (lambda t: parse_rot(t, require_valid_map=False),
+         lambda t: reference_parse_rot(t, require_valid_map=False)),
+        (parse_perm, reference_parse_perm),
+    ]:
+        assert read_outcome(parse, text) == read_outcome(reference, text)

@@ -105,6 +105,15 @@ class TestSpectrum:
         with pytest.raises(MalformedInputError):
             Spectrum(values=np.array([1.0]), tolerance=-1.0)
 
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.nan], [np.nan]])
+    def test_nan_values_rejected(self, values):
+        with pytest.raises(MalformedInputError, match="with no NaN"):
+            Spectrum(values=np.array(values), tolerance=0.0)
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(MalformedInputError, match="tolerance must be nonnegative"):
+            Spectrum(values=np.array([1.0, 0.0]), tolerance=float("nan"))
+
     def test_sum_and_deviation(self):
         s1 = Spectrum(values=np.array([1.0, -1.0]), tolerance=1e-10)
         s2 = Spectrum(values=np.array([2.0, 0.0]), tolerance=1e-10)
