@@ -8,10 +8,12 @@ parse(format(x)) == x is a hard guarantee:
 * ``.adj``:  n rows of n comma-separated 0/1 digits.
 * ``.perm``: header ``N d``, then N*d lines ``v i w j`` pairing darts.
 
-Canonical text is read in one pass over its bytes, with no loop over
-tokens or cells; for .rot and .perm that includes the same text with CRLF
-line ends.  Any other layout (tabs, padded tokens, no final newline,
-malformed input) is read row by row, which names the first malformed row.
+Canonical text is written, and read, in one pass over its bytes, with no
+loop over tokens or cells.  A .rot or .perm reader also takes the same
+text with CRLF line ends in that pass, and any other whitespace layout
+(tabs, padded tokens, no final newline) after one pass over its lines
+that re-joins their tokens by single spaces.  Malformed input is read
+row by row, which names the first malformed row.
 
 Plus one-way exports: DOT (undirected graph, each edge labeled with its two
 ports) and JSON (``{"n":…,"d":…,"rot":[[…]]}``).
@@ -63,11 +65,39 @@ def _read_header(text: str, kind: str, form: str) -> tuple[list[str], int, int]:
     return lines, n, d
 
 
+def _unsigned(top: int) -> type:
+    """uint32 when it holds ``top``, else uint64."""
+    return np.uint32 if top < 2**32 else np.uint64
+
+
 def _format_rows(header: str, table: np.ndarray) -> str:
-    """``header`` then one line per table row, its entries space-separated."""
-    rows, width = table.shape
-    line = " ".join(["%d"] * width) + "\n"
-    return f"{header}\n" + line * rows % tuple(table.ravel().tolist())
+    """``header`` then one line per row of a positive table, its entries space-separated.
+
+    The text is built in one pass over the table's values, with no loop over
+    them: a uint8 plane per decimal place plus one separator plane, filled
+    by repeated division by 10, and a keep mask that drops leading zeros.
+    A digit is kept while the quotient so far is nonzero; the last digit
+    and the separator always are.  Read column by column, the kept bytes
+    are the text.
+    """
+    width = table.shape[1]
+    top = int(table.max())
+    places = len(str(top))
+    values = table.astype(_unsigned(top)).ravel()  # a copy, divided in place
+    digits = np.empty((places + 1, values.size), dtype=np.uint8)
+    keep = np.empty((places + 1, values.size), dtype=bool)
+    keep[places - 1:] = True
+    digits[places] = ord(" ")
+    digits[places, width - 1::width] = ord("\n")
+    for place in range(places - 1, -1, -1):  # least significant place first
+        np.divmod(values, 10, out=(values, digits[place]), casting="unsafe")
+        digits[place] += ord("0")
+        if place:
+            np.not_equal(values, 0, out=keep[place - 1])
+    del values  # each array goes once spent, which lowers the peak by a quarter
+    chars = digits.T[keep.T]
+    del digits, keep
+    return f"{header}\n" + chars.tobytes().decode("ascii")
 
 
 def _canonical_table(text: str) -> tuple[tuple[int, int], np.ndarray] | None:
@@ -107,6 +137,20 @@ def _canonical_table(text: str) -> tuple[tuple[int, int], np.ndarray] | None:
     return (n, d), values[2:].reshape(-1, width)
 
 
+def _read_table(text: str) -> tuple[tuple[int, int], np.ndarray] | None:
+    """The header values and rows of .rot or .perm text in any whitespace layout, or None.
+
+    Text that is not canonical is made so by re-joining each line's tokens
+    with single spaces and the lines with ``\n``, and read again; None is
+    left for text that is not a table of short digit runs even then.
+    """
+    read = _canonical_table(text)
+    if read is None:
+        lines = "\n".join(" ".join(line.split()) for line in text.splitlines())
+        read = _canonical_table(lines + "\n")
+    return read
+
+
 def format_rot(rot: RotationMatrix) -> str:
     return _format_rows(f"{rot.num_vertices} {rot.degree}", rot.entries)
 
@@ -135,14 +179,15 @@ def _rot_rows(text: str) -> np.ndarray:
 def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
     """Strict parse of the .rot format.
 
-    Canonical text, with LF or CRLF line ends, is read in one pass over its
-    bytes; any other layout (tabs, padded tokens, no final newline,
-    malformed input) is read row by row, which names the first malformed
-    row.  By default the parsed table must also be a valid map (that is
-    part of the format contract); pass ``require_valid_map=False`` to get
-    the raw table for diagnostic reporting.
+    Text whose tokens are runs of at most 18 ASCII digits is read in one
+    pass over its bytes, after one pass over its lines when it is not
+    canonical (tabs, padded tokens, no final newline); any other text, and
+    a table of the wrong shape, is read row by row, which names the first
+    malformed row.  By default the parsed table must also be a valid map
+    (that is part of the format contract); pass ``require_valid_map=False``
+    to get the raw table for diagnostic reporting.
     """
-    read = _canonical_table(text)
+    read = _read_table(text)
     table = read[1] if read is not None and read[1].shape == read[0] else _rot_rows(text)
     rot = RotationMatrix(table)
     if require_valid_map:
@@ -214,8 +259,10 @@ def parse_adj(text: str) -> AdjacencyMatrix:
 
 def format_perm(shift: ShiftPermutation) -> str:
     d = shift.degree
-    src, dst = np.arange(shift.size), shift.images - 1
-    darts = np.stack([src // d + 1, src % d + 1, dst // d + 1, dst % d + 1], axis=1)
+    dtype = _unsigned(shift.size)
+    darts = np.stack([*np.divmod(np.arange(shift.size, dtype=dtype), d),
+                      *np.divmod(shift.images.astype(dtype) - 1, d)], axis=1)
+    darts += 1
     return _format_rows(f"{shift.num_vertices} {d}", darts)
 
 
@@ -246,11 +293,12 @@ def _perm_lines(text: str) -> tuple[int, int, np.ndarray]:
 def parse_perm(text: str) -> ShiftPermutation:
     """Strict parse of the .perm format; the pairs must form an involutive permutation.
 
-    Canonical text, with LF or CRLF line ends, is read in one pass over its
-    bytes; any other layout, or darts out of range or listed twice, is read
-    line by line, which names the first malformed line.
+    Text whose tokens are runs of at most 18 ASCII digits is read in one
+    pass over its bytes, after one pass over its lines when it is not
+    canonical; any other text, or darts out of range or listed twice, is
+    read line by line, which names the first malformed line.
     """
-    read = _canonical_table(text)
+    read = _read_table(text)
     images = None
     if read is not None:
         (n, d), darts = read

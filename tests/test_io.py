@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import rotmaps.io
 from conftest import CORPUS
 from rotmaps import (
     MalformedInputError,
@@ -177,6 +178,28 @@ class TestPermFormat:
         assert parse_perm(text).images.tolist() == [4, 5, 6, 1, 2, 3]
 
 
+OTHER_LAYOUTS = {
+    "tab-separated": lambda text: text.replace(" ", "\t"),
+    "padded": lambda text: "".join(f"  {line.replace(' ', '   ')}\t\n"
+                                   for line in text.splitlines()),
+    "no-final-newline": lambda text: text[:-1],
+}
+
+
+@pytest.mark.parametrize("layout", OTHER_LAYOUTS)
+def test_other_layouts_skip_the_row_readers(monkeypatch, layout):
+    def read_row_by_row(text):
+        raise AssertionError("well-formed text was read row by row")
+
+    monkeypatch.setattr(rotmaps.io, "_rot_rows", read_row_by_row)
+    monkeypatch.setattr(rotmaps.io, "_perm_lines", read_row_by_row)
+    rot = cartesian_rotation(cycle(12), cycle(10))
+    shift = build_shift(rot)
+    assert parse_rot(OTHER_LAYOUTS[layout](format_rot(rot))) == rot
+    parsed = parse_perm(OTHER_LAYOUTS[layout](format_perm(shift)))
+    assert parsed.images.tolist() == shift.images.tolist()
+
+
 def traced_peak(call):
     """Peak bytes tracemalloc sees while ``call()`` runs, whether it returns or raises."""
     tracemalloc.start()
@@ -218,6 +241,21 @@ class TestCanonicalReadMemory:
             parse(text)
         assert str(info.value) == message
         assert traced_peak(lambda: parse(text)) < 1e6
+
+
+class TestCanonicalWriteMemory:
+    # Each bound sits above the peak measured on C400 x C250 (3.4 times the
+    # text for format_rot, 5.6 times for format_perm) and below the 8.7 and
+    # 11.9 times that a %-format over a tuple of Python ints takes, so a
+    # return to one fails.
+    @pytest.mark.parametrize("kind,parse,write,bound", [
+        ("rot", parse_rot, format_rot, 4.5),
+        ("perm", parse_perm, format_perm, 7.0),
+    ])
+    def test_peak_on_100k_vertices(self, torus_texts, kind, parse, write, bound):
+        text = torus_texts[kind]
+        table = parse(text)
+        assert traced_peak(lambda: write(table)) < bound * len(text)
 
 
 class TestExports:

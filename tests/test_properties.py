@@ -5,7 +5,9 @@
 locations, messages and order.  Likewise ``parse_adj`` must agree with the
 cell-by-cell read it keeps for non-canonical text, on every text, and
 ``parse_rot``/``parse_perm`` with the line-by-line ``reference_parse_rot``
-and ``reference_parse_perm``, in the table or in the error message.
+and ``reference_parse_perm``, in the table or in the error message, and
+``format_rot``/``format_perm`` with the ``%``-format writer
+``reference_format_rows``, byte for byte.
 """
 
 import re
@@ -30,6 +32,7 @@ from rotmaps import (
     cartesian_adjacency,
     cartesian_rotation,
     cycle,
+    hypercube,
     is_consistent,
     rotation_from_adjacency,
     solve_backtracking,
@@ -40,6 +43,7 @@ from rotmaps import (
 )
 from rotmaps.io import (
     _adj_rows,
+    _format_rows,
     format_adj,
     format_perm,
     format_rot,
@@ -367,6 +371,7 @@ def reference_parse_perm(text):
 
 MUTATIONS = [
     "canonical", "crlf", "tab", "comma", "double-space", "no-final-newline",
+    "tab-separated", "padded", "padded-no-final-newline",
     "unterminated-extra-row", "trailing-blank-line", "blank-row", "repeated-row", "header-split",
     "header-only", "changed-token", "leading-zeros", "plus", "underscore", "non-ascii-digit",
     "19-digits", "lone-cr", "corrupt",
@@ -380,8 +385,9 @@ def table_texts(draw, mutation):
     The table or map is small, or large enough for vertex ids of several
     digits: a seeded table of up to 300 rows, or the product of a valid map
     and a cycle.  The mutations are what a hand-edited or foreign file can
-    carry: CRLF or a lone CR, other whitespace, missing, blank or extra
-    lines, tokens that ``int`` accepts but the canonical layout does not
+    carry: CRLF or a lone CR, other whitespace in one place or in the
+    whole layout (tabs between all tokens, padded lines), missing, blank or
+    extra lines, tokens that ``int`` accepts but the canonical layout does not
     (leading zeros, ``+7``, ``1_0``, a non-ASCII digit), tokens of 19
     digits, changed values and stray bytes.
     """
@@ -411,6 +417,13 @@ def table_texts(draw, mutation):
         return text[:space] + separator + text[space + 1:]
     if mutation == "no-final-newline":
         return text[:-1]
+    if mutation == "tab-separated":
+        return text.replace(" ", "\t")
+    if mutation in ("padded", "padded-no-final-newline"):
+        pad = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lines = text.splitlines()
+        text = "".join(pad + line.replace(" ", pad + " ") + pad + "\n" for line in lines)
+        return text[:-1] if mutation == "padded-no-final-newline" else text
     if mutation == "unterminated-extra-row":
         return text + text.split("\n")[1]
     if mutation == "trailing-blank-line":
@@ -470,3 +483,78 @@ def test_rot_and_perm_readers_agree_with_line_by_line_reference(mutation, data):
         (parse_perm, reference_parse_perm),
     ]:
         assert read_outcome(parse, text) == read_outcome(reference, text)
+
+
+def reference_format_rows(header, table):
+    """The %-format writer that the byte-level one replaced."""
+    rows, width = table.shape
+    line = " ".join(["%d"] * width) + "\n"
+    return f"{header}\n" + line * rows % tuple(table.ravel().tolist())
+
+
+def reference_format_rot(rot):
+    return reference_format_rows(f"{rot.num_vertices} {rot.degree}", rot.entries)
+
+
+def reference_format_perm(shift):
+    d = shift.degree
+    src, dst = np.arange(shift.size), shift.images - 1
+    darts = np.stack([src // d + 1, src % d + 1, dst // d + 1, dst % d + 1], axis=1)
+    return reference_format_rows(f"{shift.num_vertices} {d}", darts)
+
+
+def first_difference(text, expected):
+    """None, or the first line where two texts differ, with both versions of it.
+
+    The writer tests compare through this: pytest's diff of two long texts
+    is quadratic, and hypothesis shrinking would redo it at every step.
+    """
+    if text == expected:
+        return None
+    lines, wanted = text.split("\n"), expected.split("\n")
+    k = next((k for k, (a, b) in enumerate(zip(lines, wanted)) if a != b),
+             min(len(lines), len(wanted)))
+    return k, lines[k:k + 1], wanted[k:k + 1]
+
+
+@st.composite
+def wide_shapes(draw):
+    """n near a power of ten or anywhere in 2..3000, d in 1..13, and a seeded generator."""
+    n = draw(st.sampled_from([2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]) | st.integers(2, 3000))
+    d = draw(st.integers(1, 13))
+    return n, d, np.random.default_rng(draw(st.integers(0, 2**16)))
+
+
+@PROPERTY
+@given(wide_shapes())
+def test_format_rot_matches_reference(shape):
+    n, d, rng = shape
+    rot = RotationMatrix(rng.integers(1, n + 1, (n, d)))
+    assert first_difference(format_rot(rot), reference_format_rot(rot)) is None
+
+
+@PROPERTY
+@given(wide_shapes())
+def test_format_perm_matches_reference(shape):
+    n, d, rng = shape
+    shift = ShiftPermutation(num_vertices=n, degree=d, images=rng.integers(1, n * d + 1, n * d))
+    assert first_difference(format_perm(shift), reference_format_perm(shift)) is None
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.integers(1, 2**63 - 1) | st.integers(1, 10**5), min_size=width, max_size=width),
+    min_size=1, max_size=20)))
+def test_format_rows_matches_reference_up_to_int64_max(rows):
+    table = np.array(rows, dtype=np.int64)
+    assert first_difference(_format_rows("h", table), reference_format_rows("h", table)) is None
+
+
+@pytest.mark.parametrize("rot", [
+    cycle(9), cycle(10), cycle(99), cycle(100), cycle(999), cycle(1000), cycle(10**5),
+    RotationMatrix([[2], [1]]), hypercube(12),
+], ids=["C9", "C10", "C99", "C100", "C999", "C1000", "C100000", "K2", "Q12"])
+def test_format_rot_and_perm_match_reference_at_digit_boundaries(rot):
+    assert first_difference(format_rot(rot), reference_format_rot(rot)) is None
+    shift = build_shift(rot)
+    assert first_difference(format_perm(shift), reference_format_perm(shift)) is None
