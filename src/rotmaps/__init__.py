@@ -19,9 +19,7 @@ from .adjacency import (
     sum_spectra,
 )
 from .core import (
-    Dart,
     RotationMatrix,
-    RotationTable,
     ValidationReport,
     Violation,
     is_consistent,
@@ -39,7 +37,6 @@ from .exceptions import (
     SearchBudgetExceededError,
 )
 from .families import (
-    FamilySpec,
     complete,
     complete_bipartite,
     cycle,
@@ -49,15 +46,13 @@ from .families import (
 )
 from .product import cartesian_rotation
 from .shift import ShiftPermutation, build_shift, verify_unitary
-from .solver import agree, solve_backtracking, solve_matching
+from .solver import solve_backtracking, solve_matching
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdjacencyMatrix",
     "ConvergenceError",
-    "Dart",
-    "FamilySpec",
     "InconsistentInputWarning",
     "InvalidRotationMapError",
     "MalformedInputError",
@@ -65,7 +60,6 @@ __all__ = [
     "ProductPropertyReport",
     "RegularityError",
     "RotationMatrix",
-    "RotationTable",
     "RotmapsError",
     "SearchBudgetExceededError",
     "ShiftPermutation",
@@ -73,7 +67,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "adjacency_from_rotation",
-    "agree",
     "build_shift",
     "cartesian_adjacency",
     "cartesian_rotation",

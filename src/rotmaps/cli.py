@@ -17,7 +17,7 @@ from . import families
 from . import io as formats
 from .adjacency import product_property_check, rotation_from_adjacency, spectrum
 from .core import validate
-from .exceptions import RotmapsError, SearchBudgetExceededError
+from .exceptions import ParameterError, RotmapsError, SearchBudgetExceededError
 from .product import cartesian_rotation
 from .shift import build_shift
 from .solver import DEFAULT_BUDGET, solve_backtracking, solve_matching
@@ -40,9 +40,26 @@ def _load_adj(path: Path):
     return formats.parse_adj(path.read_text())
 
 
+_GP = (families.generalized_petersen, ("n", "s"), "generalized Petersen graphs need both n and s")
+# family name -> generator, the options it reads in order, and the error when one is missing
+FAMILIES = {
+    "cycle": (families.cycle, ("n",), "family cycle needs n"),
+    "complete": (families.complete, ("n",), "family complete needs n"),
+    "complete-bipartite": (families.complete_bipartite, ("n",),
+                           "family complete-bipartite needs n"),
+    "gp": _GP,
+    "generalized-petersen": _GP,
+    "k2": (families.k2, (), None),
+    "hypercube": (families.hypercube, ("m",), "hypercubes need a dimension"),
+}
+
+
 def cmd_generate(args) -> int:
-    spec = families.FamilySpec(family=args.family, n=args.n, s=args.s, dimension=args.m)
-    _emit(args.output, formats.format_rot(spec.build()))
+    make, options, missing = FAMILIES[args.family]
+    values = [getattr(args, option) for option in options]
+    if None in values:
+        raise ParameterError(missing)
+    _emit(args.output, formats.format_rot(make(*values)))
     return 0
 
 
@@ -138,9 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a family rotation map")
-    p.add_argument("--family", required=True,
-                   choices=["cycle", "complete", "complete-bipartite",
-                            "gp", "generalized-petersen", "k2", "hypercube"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, help="vertex parameter (per side for complete-bipartite)")
     p.add_argument("--s", type=int, help="inner step for generalized Petersen graphs")
     p.add_argument("--m", type=int, help="dimension for hypercubes")

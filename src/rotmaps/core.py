@@ -1,8 +1,10 @@
-"""Rotation maps in matrix form and full involution form, plus structural checks.
+"""Rotation maps in matrix form, their return ports, and structural checks.
 
 A rotation map records, for every vertex v and every port i in 1..d, which
 vertex the i-th edge leaving v enters.  The matrix form keeps only that
-endpoint; the full form also keeps the port under which the edge comes back.
+endpoint; the full form adds, beside it, the table of ports under which
+each edge comes back, so dart (v, i) pairs with (entries[v-1, i-1],
+ports[v-1, i-1]).
 A map is *consistent* when every vertex receives its d incoming edges under
 d pairwise distinct ports, which for a valid map is the same as every column
 of the matrix form being a permutation of the vertex set.
@@ -14,29 +16,19 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .exceptions import InvalidRotationMapError, MalformedInputError
 
 __all__ = [
-    "Dart",
     "RotationMatrix",
-    "RotationTable",
     "Violation",
     "ValidationReport",
     "validate",
     "is_consistent",
     "to_full_form",
 ]
-
-
-class Dart(NamedTuple):
-    """One directed half-edge: a vertex together with one of its ports."""
-
-    vertex: int
-    port: int
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -96,48 +88,6 @@ class RotationMatrix:
 
     def __repr__(self):
         return f"RotationMatrix(num_vertices={self.num_vertices}, degree={self.degree})"
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class RotationTable:
-    """Full involution form: every dart (v, i) is paired with a partner (w, j).
-
-    ``entries`` is the same table as the matrix form; ``ports`` holds the
-    return port j for each dart.  Built by :func:`to_full_form`.
-    """
-
-    entries: np.ndarray
-    ports: np.ndarray
-
-    def __post_init__(self):
-        ports = np.asarray(self.ports).astype(np.int64)
-        if ports.shape != self.entries.shape:
-            raise MalformedInputError(
-                f"port table shape {ports.shape} does not match entry table {self.entries.shape}"
-            )
-        ports.setflags(write=False)
-        object.__setattr__(self, "ports", ports)
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def degree(self) -> int:
-        return int(self.entries.shape[1])
-
-    def image(self, dart) -> Dart:
-        """The partner dart of ``dart`` under the map."""
-        v, i = dart
-        if not (1 <= v <= self.num_vertices and 1 <= i <= self.degree):
-            raise MalformedInputError(f"dart ({v}, {i}) out of range")
-        return Dart(int(self.entries[v - 1, i - 1]), int(self.ports[v - 1, i - 1]))
-
-    def darts(self) -> Iterator[Dart]:
-        """All darts in row-major (vertex, port) order."""
-        for v in range(1, self.num_vertices + 1):
-            for i in range(1, self.degree + 1):
-                yield Dart(v, i)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,11 +198,13 @@ def is_consistent(rot: RotationMatrix) -> bool:
     return _require_valid(rot).is_consistent
 
 
-def to_full_form(rot: RotationMatrix) -> RotationTable:
-    """Recover the return ports: the partner of (v, i) is (w, j) where row w lists v at port j.
+def to_full_form(rot: RotationMatrix) -> np.ndarray:
+    """The read-only (n, d) int64 table of return ports: ``ports[v-1, i-1] == j``.
 
-    Requires a valid map; there the partner port is unique because v appears
-    exactly once in row w.  The result is an involution on all darts.
+    The partner of dart (v, i) is (w, j) with w = ``rot.entries[v-1, i-1]``:
+    row w lists v at port j.  Requires a valid map; there the partner port
+    is unique because v appears exactly once in row w, and the pairing is an
+    involution on all darts.
     """
     _require_valid(rot)
     ent = rot.entries
@@ -262,4 +214,6 @@ def to_full_form(rot: RotationMatrix) -> RotationTable:
     keys = (np.arange(n)[:, None] * n + (ent - 1)).ravel()
     order = np.argsort(keys)
     partner = order[np.searchsorted(keys[order], (ent - 1) * n + np.arange(n)[:, None])]
-    return RotationTable(entries=ent, ports=partner % d + 1)
+    ports = partner % d + 1
+    ports.setflags(write=False)
+    return ports

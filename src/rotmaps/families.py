@@ -1,12 +1,12 @@
 """Closed-form consistent rotation maps for standard graph families.
 
 Each generator fixes one orientation convention once and for all, so the
-tables it emits are reproducible byte for byte.
+tables it emits are reproducible byte for byte.  Each checks its own
+parameter domain, and rejects a table of more than MAX_DARTS darts before
+anything is allocated.  The command line maps family names to generators.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .core import RotationMatrix
 from .exceptions import ParameterError
 
 __all__ = [
-    "FamilySpec",
     "cycle",
     "complete",
     "complete_bipartite",
@@ -26,12 +25,21 @@ __all__ = [
 # Q20 has 2**20 vertices and 20 * 2**20 int64 entries (168 MB), and validating
 # it sorts as many keys again; each further dimension more than doubles both.
 MAX_HYPERCUBE_DIMENSION = 20
+# Q20's dart count is the ceiling for every generated table.
+MAX_DARTS = MAX_HYPERCUBE_DIMENSION * 2**MAX_HYPERCUBE_DIMENSION
+
+
+def _require_darts(darts: int, what: str) -> None:
+    """Raise ParameterError when a table of ``darts`` darts would exceed MAX_DARTS."""
+    if darts > MAX_DARTS:
+        raise ParameterError(f"{what} has {darts} darts, above the limit of {MAX_DARTS}")
 
 
 def cycle(n: int) -> RotationMatrix:
     """n-cycle: port 1 walks to the successor, port 2 back to the predecessor."""
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
+    _require_darts(2 * n, f"cycle of {n} vertices")
     v = np.arange(1, n + 1, dtype=np.int64)
     return RotationMatrix(np.column_stack([v % n + 1, (v - 2) % n + 1]))
 
@@ -43,6 +51,7 @@ def complete(n: int) -> RotationMatrix:
     """
     if n < 3:
         raise ParameterError(f"complete graph needs n >= 3, got {n}")
+    _require_darts(n * (n - 1), f"complete graph on {n} vertices")
     v = np.arange(1, n + 1, dtype=np.int64)[:, None]
     i = np.arange(1, n, dtype=np.int64)[None, :]
     return RotationMatrix((v - 1 + i) % n + 1)
@@ -56,6 +65,7 @@ def complete_bipartite(n: int) -> RotationMatrix:
     """
     if n < 2:
         raise ParameterError(f"complete bipartite graph needs n >= 2, got {n}")
+    _require_darts(2 * n * n, f"complete bipartite graph K({n},{n})")
     v = np.arange(1, n + 1, dtype=np.int64)[:, None]
     k = np.arange(1, n + 1, dtype=np.int64)[None, :]
     left = n + (v + k - 2) % n + 1
@@ -76,6 +86,7 @@ def generalized_petersen(n: int, s: int) -> RotationMatrix:
     if not 1 <= s <= max_s:
         extra = " (2s = n would double the inner edges)" if 2 * s == n else ""
         raise ParameterError(f"inner step s={s} outside 1..{max_s} for n={n}{extra}")
+    _require_darts(6 * n, f"generalized Petersen graph GP({n}, {s})")
     j = np.arange(1, n + 1, dtype=np.int64)
     outer = np.column_stack([j % n + 1, n + j, (j - 2) % n + 1])
     inner = np.column_stack([n + (j - 1 + s) % n + 1, j, n + (j - 1 - s) % n + 1])
@@ -104,55 +115,3 @@ def hypercube(m: int) -> RotationMatrix:
     v = np.arange(2**m, dtype=np.int64)[:, None]
     return RotationMatrix((v ^ (1 << np.arange(m, dtype=np.int64))) + 1)
 
-
-_ALIASES = {
-    "cycle": "cycle",
-    "complete": "complete",
-    "complete-bipartite": "complete-bipartite",
-    "generalized-petersen": "generalized-petersen",
-    "gp": "generalized-petersen",
-    "k2": "k2",
-    "hypercube": "hypercube",
-}
-
-
-@dataclasses.dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its parameters, dispatched by :meth:`build`.
-
-    ``n`` is the vertex parameter (per side for complete-bipartite), ``s``
-    the inner step of generalized Petersen graphs, ``dimension`` the
-    hypercube dimension.  Parameter domains are enforced by the generators.
-    """
-
-    family: str
-    n: int | None = None
-    s: int | None = None
-    dimension: int | None = None
-
-    def __post_init__(self):
-        if self.family not in _ALIASES:
-            raise ParameterError(
-                f"unknown family {self.family!r}; expected one of {sorted(set(_ALIASES))}"
-            )
-        object.__setattr__(self, "family", _ALIASES[self.family])
-
-    def build(self) -> RotationMatrix:
-        if self.family == "generalized-petersen":
-            if self.n is None or self.s is None:
-                raise ParameterError("generalized Petersen graphs need both n and s")
-            return generalized_petersen(self.n, self.s)
-        if self.family == "hypercube":
-            if self.dimension is None:
-                raise ParameterError("hypercubes need a dimension")
-            return hypercube(self.dimension)
-        if self.family == "k2":
-            return k2()
-        if self.n is None:
-            raise ParameterError(f"family {self.family} needs n")
-        maker = {
-            "cycle": cycle,
-            "complete": complete,
-            "complete-bipartite": complete_bipartite,
-        }[self.family]
-        return maker(self.n)

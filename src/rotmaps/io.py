@@ -142,12 +142,18 @@ def _read_table(text: str) -> tuple[tuple[int, int], np.ndarray] | None:
 
     Text that is not canonical is made so by re-joining each line's tokens
     with single spaces and the lines with ``\n``, and read again; None is
-    left for text that is not a table of short digit runs even then.
+    left for text that is not a table of short digit runs even then.  Each
+    line is replaced in place, so only one list of lines is held at a time.
     """
     read = _canonical_table(text)
     if read is None:
-        lines = "\n".join(" ".join(line.split()) for line in text.splitlines())
-        read = _canonical_table(lines + "\n")
+        lines = text.splitlines()
+        for k, line in enumerate(lines):
+            lines[k] = " ".join(line.split())
+        lines.append("")  # the final newline
+        joined = "\n".join(lines)
+        del lines
+        read = _canonical_table(joined)
     return read
 
 
@@ -319,10 +325,9 @@ def format_dot(rot: RotationMatrix) -> str:
 
     The lower-numbered endpoint's port comes first.
     """
-    table = to_full_form(rot)
-    n, d = table.entries.shape
-    darts = np.stack([np.repeat(np.arange(1, n + 1), d), table.entries.ravel(),
-                      np.tile(np.arange(1, d + 1), n), table.ports.ravel()], axis=1)
+    n, d = rot.entries.shape
+    darts = np.stack([np.repeat(np.arange(1, n + 1), d), rot.entries.ravel(),
+                      np.tile(np.arange(1, d + 1), n), to_full_form(rot).ravel()], axis=1)
     edges = darts[darts[:, 0] < darts[:, 1]]
     lines = '  %d -- %d [label="%d|%d"];\n' * len(edges) % tuple(edges.ravel().tolist())
     return "graph G {\n" + lines + "}\n"

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import RotationMatrix, _require_valid
 from .exceptions import InconsistentInputWarning
+from .families import _require_darts
 
 __all__ = ["cartesian_rotation"]
 
@@ -33,8 +34,12 @@ def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> Rotation
     Ports 1..d_inner stay inside each cloud, ports d_inner+1..d_inner+d_outer
     bridge between clouds.  Valid-but-inconsistent factors are accepted with
     a warning: the result is still a valid map, but its consistency is no
-    longer guaranteed.  Costs O(n*d) for the n*d entries of the product.
+    longer guaranteed.  Costs O(n*d) for the n*d entries of the product; a
+    product of more than MAX_DARTS darts is rejected before it is built.
     """
+    vg, vh = inner.num_vertices, outer.num_vertices
+    _require_darts(vg * vh * (inner.degree + outer.degree),
+                  f"product of {vh} clouds of {vg} vertices")
     rep_inner = _require_valid(inner)
     rep_outer = _require_valid(outer)
     if not (rep_inner.is_consistent and rep_outer.is_consistent):
@@ -49,7 +54,6 @@ def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> Rotation
             InconsistentInputWarning,
             stacklevel=2,
         )
-    vg, vh = inner.num_vertices, outer.num_vertices
     # axes (cloud, in-cloud vertex, port)
     local = inner.entries[None] + vg * np.arange(vh)[:, None, None]
     bridge = np.arange(1, vg + 1)[None, :, None] + vg * (outer.entries[:, None, :] - 1)

@@ -74,8 +74,7 @@ def build_shift(rot: RotationMatrix) -> ShiftPermutation:
             InconsistentInputWarning,
             stacklevel=2,
         )
-    table = to_full_form(rot)
-    images = ((table.entries - 1) * rot.degree + table.ports).ravel()
+    images = ((rot.entries - 1) * rot.degree + to_full_form(rot)).ravel()
     return ShiftPermutation(num_vertices=rot.num_vertices, degree=rot.degree, images=images)
 
 

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adjacency import AdjacencyMatrix, adjacency_from_rotation, rotation_from_adjacency
-from .core import RotationMatrix, is_consistent
+from .adjacency import AdjacencyMatrix, rotation_from_adjacency
+from .core import RotationMatrix
 from .exceptions import ParameterError, RotmapsError, SearchBudgetExceededError
 
 __all__ = [
     "solve_backtracking",
     "solve_matching",
-    "agree",
 ]
 
 DEFAULT_BUDGET = 1_000_000
@@ -169,20 +168,3 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
     _check_labels(scan, entries)
     return RotationMatrix(entries)
 
-
-def agree(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET) -> bool | None:
-    """Cross-check the two solvers on one input.
-
-    True when both produce consistent maps of the given graph (the maps need
-    not be equal); None when the backtracker ran out of budget, which leaves
-    the comparison inconclusive.
-    """
-    try:
-        from_search = solve_backtracking(adjacency, budget=budget)
-    except SearchBudgetExceededError:
-        return None
-    from_matching = solve_matching(adjacency)
-    return all(
-        is_consistent(rot) and adjacency_from_rotation(rot) == adjacency
-        for rot in (from_search, from_matching)
-    )

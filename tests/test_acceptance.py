@@ -12,7 +12,6 @@ from conftest import CORPUS, is_connected, random_regular_adjacency
 from rotmaps import (
     RotationMatrix,
     adjacency_from_rotation,
-    agree,
     build_shift,
     cartesian_adjacency,
     cartesian_rotation,
@@ -23,6 +22,7 @@ from rotmaps import (
     is_consistent,
     k2,
     rotation_from_adjacency,
+    solve_backtracking,
     solve_matching,
     spectrum,
     spectrum_deviation,
@@ -154,9 +154,13 @@ def test_criterion_7_involution_and_round_trip():
     from rotmaps import to_full_form
 
     for name, rot in CORPUS:
-        table = to_full_form(rot)
-        for dart in table.darts():
-            assert table.image(table.image(dart)) == dart, name
+        ports = to_full_form(rot)
+        assert not ports.flags.writeable, name
+        n, d = rot.entries.shape
+        w, j = rot.entries - 1, ports - 1
+        # the partner (w, j) of dart (v, i) has (v, i) as its partner
+        assert (rot.entries[w, j] == np.arange(1, n + 1)[:, None]).all(), name
+        assert (ports[w, j] == np.arange(1, d + 1)).all(), name
         adj = adjacency_from_rotation(rot)
         assert adjacency_from_rotation(rotation_from_adjacency(adj)) == adj, name
     print("criterion 7 (dart involution and adjacency round trip on the corpus): PASS")
@@ -167,11 +171,11 @@ def test_criterion_8_solver_soundness():
     for n, d, seed in random_graph_configs(800, 20):
         inputs.append((f"random-{n}-{d}-{seed}", random_regular_adjacency(n, d, seed)))
     for name, adj in inputs:
-        rot = solve_matching(adj)
-        assert is_consistent(rot), name
-        assert adjacency_from_rotation(rot) == adj, name
-        if adj.order <= 12:
-            assert agree(adj) is True, name
+        solvers = [solve_matching] + [solve_backtracking] * (adj.order <= 12)
+        for solve in solvers:
+            rot = solve(adj)
+            assert is_consistent(rot), name
+            assert adjacency_from_rotation(rot) == adj, name
     print("criterion 8 (matching solver sound everywhere; backtracker agrees to 12 vertices): PASS")
 
 

@@ -6,13 +6,16 @@ import pytest
 
 from rotmaps import (
     adjacency_from_rotation,
+    complete,
     complete_bipartite,
     cycle,
     generalized_petersen,
+    hypercube,
     is_consistent,
+    k2,
 )
 from rotmaps.cli import main
-from rotmaps.families import MAX_HYPERCUBE_DIMENSION
+from rotmaps.families import MAX_DARTS, MAX_HYPERCUBE_DIMENSION
 from rotmaps.io import format_adj, format_rot, parse_rot
 
 C5_FILE = "5 2\n2 5\n3 1\n4 2\n5 3\n1 4\n"
@@ -66,6 +69,43 @@ class TestGenerate:
         assert peak < 200 * 2**20
         lines = out.read_text().splitlines()
         assert lines[0] == "32768 15" and len(lines) == 32769
+
+    @pytest.mark.parametrize("options,rot", [
+        (["cycle", "--n", "7"], cycle(7)),
+        (["complete", "--n", "6"], complete(6)),
+        (["complete-bipartite", "--n", "4"], complete_bipartite(4)),
+        (["gp", "--n", "9", "--s", "2"], generalized_petersen(9, 2)),
+        (["generalized-petersen", "--n", "9", "--s", "2"], generalized_petersen(9, 2)),
+        (["k2"], k2()),
+        (["k2", "--n", "5", "--m", "3"], k2()),  # options a family does not read are ignored
+        (["hypercube", "--m", "3"], hypercube(3)),
+    ], ids=["cycle", "complete", "complete-bipartite", "gp", "generalized-petersen", "k2",
+            "k2-extra-options", "hypercube"])
+    def test_family_matches_its_generator(self, capsys, options, rot):
+        assert main(["generate", "--family", *options]) == 0
+        assert capsys.readouterr().out == format_rot(rot)
+
+    @pytest.mark.parametrize("options,message", [
+        (["cycle"], "family cycle needs n"),
+        (["complete", "--s", "2"], "family complete needs n"),
+        (["complete-bipartite", "--m", "2"], "family complete-bipartite needs n"),
+        (["gp", "--n", "7"], "generalized Petersen graphs need both n and s"),
+        (["generalized-petersen", "--s", "3"], "generalized Petersen graphs need both n and s"),
+        (["hypercube", "--n", "3"], "hypercubes need a dimension"),
+    ], ids=["cycle", "complete", "complete-bipartite", "gp", "generalized-petersen",
+            "hypercube"])
+    def test_missing_parameter_message(self, capsys, options, message):
+        assert main(["generate", "--family", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_too_many_darts_is_one_error_line(self, capsys):
+        # K_100000 would take 74.5 GiB; it is refused before any allocation
+        assert main(["generate", "--family", "complete", "--n", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: complete graph on 100000 vertices has 9999900000 darts, "
+                                f"above the limit of {MAX_DARTS}\n")
 
     def test_hypercube_above_ceiling_is_one_error_line(self, capsys):
         assert main(["generate", "--family", "hypercube", "--m", "40"]) == 2

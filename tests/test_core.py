@@ -1,4 +1,4 @@
-"""Core rotation-map checks: validation, consistency, full form."""
+"""Core rotation-map checks: validation, consistency, the return-port table."""
 
 import tracemalloc
 
@@ -7,7 +7,6 @@ import pytest
 
 from conftest import CORPUS, CORPUS_IDS
 from rotmaps import (
-    Dart,
     InvalidRotationMapError,
     MalformedInputError,
     RotationMatrix,
@@ -149,34 +148,32 @@ class TestConsistency:
 
 class TestFullForm:
     def test_triangle_pairs(self):
-        table = to_full_form(RotationMatrix(TRIANGLE))
-        for dart, partner in TRIANGLE_PAIRS.items():
-            assert table.image(Dart(*dart)) == Dart(*partner)
+        rot = RotationMatrix(TRIANGLE)
+        ports = to_full_form(rot)
+        for (v, i), partner in TRIANGLE_PAIRS.items():
+            assert (rot.entries[v - 1, i - 1], ports[v - 1, i - 1]) == partner
 
     def test_k2(self):
-        table = to_full_form(RotationMatrix(K2_MAP))
-        assert table.image(Dart(1, 1)) == Dart(2, 1)
+        assert to_full_form(RotationMatrix(K2_MAP)).tolist() == [[1], [1]]
 
     def test_c5_first_dart(self):
         # row 2 of the 5-cycle map is [3, 1]; vertex 1 sits at port 2
-        table = to_full_form(RotationMatrix(C5))
-        assert table.image(Dart(1, 1)) == Dart(2, 2)
+        assert to_full_form(RotationMatrix(C5))[0, 0] == 2
 
     def test_requires_valid_map(self):
         with pytest.raises(InvalidRotationMapError):
             to_full_form(RotationMatrix([[1], [2]]))
 
-    def test_image_out_of_range(self):
-        table = to_full_form(RotationMatrix(TRIANGLE))
-        with pytest.raises(MalformedInputError):
-            table.image(Dart(4, 1))
-
     @pytest.mark.parametrize("name,rot", CORPUS, ids=CORPUS_IDS)
     def test_involution_and_round_trip(self, name, rot):
-        table = to_full_form(rot)
-        assert np.array_equal(table.entries, rot.entries)
-        for dart in table.darts():
-            assert table.image(table.image(dart)) == dart
+        ports = to_full_form(rot)
+        n, d = rot.entries.shape
+        assert ports.shape == (n, d) and ports.dtype == np.int64
+        assert not ports.flags.writeable
+        w, j = rot.entries - 1, ports - 1
+        # the partner (w, j) of dart (v, i) has (v, i) as its partner
+        assert (rot.entries[w, j] == np.arange(1, n + 1)[:, None]).all()
+        assert (ports[w, j] == np.arange(1, d + 1)).all()
 
 
 class TestScale:
@@ -200,11 +197,12 @@ class TestScale:
         validate(rot)
         tracemalloc.start()
         try:
-            table = to_full_form(rot)
+            ports = to_full_form(rot)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.image(Dart(1, 1)) == Dart(2, 399)
+        # dart (1, 1) enters vertex 2, whose last port steps back to vertex 1
+        assert (rot.entries[0, 0], ports[0, 0]) == (2, 399)
         assert peak < 50 * 2**20
 
     def test_each_map_checked_once(self, monkeypatch):

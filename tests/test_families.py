@@ -8,7 +8,6 @@ import pytest
 
 from conftest import CORPUS, CORPUS_IDS
 from rotmaps import (
-    FamilySpec,
     ParameterError,
     adjacency_from_rotation,
     cartesian_adjacency,
@@ -23,7 +22,7 @@ from rotmaps import (
     spectrum_deviation,
     validate,
 )
-from rotmaps.families import MAX_HYPERCUBE_DIMENSION
+from rotmaps.families import MAX_DARTS, MAX_HYPERCUBE_DIMENSION
 
 C5_TABLE = [[2, 5], [3, 1], [4, 2], [5, 3], [1, 4]]
 K5_TABLE = [
@@ -123,33 +122,27 @@ class TestParameterDomains:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("call", [
+        lambda: cycle(MAX_DARTS // 2 + 1),
+        lambda: complete(4_580),              # 4580 * 4579 darts, the first K_n above the limit
+        lambda: complete(100_000),
+        lambda: complete_bipartite(3_239),    # 2 * 3239**2 darts
+        lambda: generalized_petersen(MAX_DARTS // 6 + 1, 3),
+        lambda: cartesian_rotation(cycle(3_000), cycle(2_000)),
+    ], ids=["cycle", "complete", "complete-huge", "bipartite", "gp", "product"])
+    def test_dart_ceiling(self, call):
+        # rejected before any table is allocated; the product's factors are small
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"above the limit of {MAX_DARTS}"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_gp_largest_step_allowed(self):
         assert validate(generalized_petersen(9, 4)).is_consistent
-
-
-class TestFamilySpec:
-    def test_dispatch(self):
-        assert FamilySpec("cycle", n=5).build() == cycle(5)
-        assert FamilySpec("gp", n=7, s=3).build() == generalized_petersen(7, 3)
-        assert FamilySpec("generalized-petersen", n=7, s=3).build() == generalized_petersen(7, 3)
-        assert FamilySpec("hypercube", dimension=2).build() == hypercube(2)
-        assert FamilySpec("k2").build() == k2()
-
-    def test_unknown_family(self):
-        with pytest.raises(ParameterError):
-            FamilySpec("moebius", n=5)
-
-    def test_missing_parameters(self):
-        with pytest.raises(ParameterError):
-            FamilySpec("cycle").build()
-        with pytest.raises(ParameterError):
-            FamilySpec("gp", n=7).build()
-        with pytest.raises(ParameterError):
-            FamilySpec("hypercube").build()
-
-    def test_domain_still_enforced(self):
-        with pytest.raises(ParameterError):
-            FamilySpec("gp", n=4, s=2).build()
 
 
 class TestGeneratorProperties:

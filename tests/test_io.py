@@ -242,6 +242,14 @@ class TestCanonicalReadMemory:
         assert str(info.value) == message
         assert traced_peak(lambda: parse(text)) < 1e6
 
+    def test_tab_separated_perm_holds_one_list_of_lines(self, torus_texts):
+        # the re-join replaces each line in place, so tab-separated text peaks
+        # at 1.12 times the canonical read; holding a second list of the
+        # re-joined lines took 1.25 times
+        text = torus_texts["perm"]
+        tabbed = text.replace(" ", "\t")
+        assert traced_peak(lambda: parse_perm(tabbed)) < 1.2 * traced_peak(lambda: parse_perm(text))
+
 
 class TestCanonicalWriteMemory:
     # Each bound sits above the peak measured on C400 x C250 (3.4 times the

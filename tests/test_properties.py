@@ -153,11 +153,12 @@ def test_validate_matches_reference_on_valid_maps(rot):
 @PROPERTY
 @given(valid_maps())
 def test_full_form_is_an_involution(rot):
-    table = to_full_form(rot)
+    ports = to_full_form(rot)
     n, d = rot.entries.shape
-    w, j = table.entries - 1, table.ports - 1
-    assert np.array_equal(table.entries[w, j], np.repeat(np.arange(1, n + 1), d).reshape(n, d))
-    assert np.array_equal(table.ports[w, j], np.tile(np.arange(1, d + 1), (n, 1)))
+    assert not ports.flags.writeable
+    w, j = rot.entries - 1, ports - 1
+    assert np.array_equal(rot.entries[w, j], np.repeat(np.arange(1, n + 1), d).reshape(n, d))
+    assert np.array_equal(ports[w, j], np.tile(np.arange(1, d + 1), (n, 1)))
 
 
 @PROPERTY

@@ -11,7 +11,6 @@ from rotmaps import (
     RotmapsError,
     SearchBudgetExceededError,
     adjacency_from_rotation,
-    agree,
     cartesian_rotation,
     complete,
     cycle,
@@ -129,17 +128,25 @@ class TestMatchingScale:
 
 
 class TestAgree:
+    """The two solvers cross-check each other, called one after the other."""
+
     @pytest.mark.parametrize("adj_factory", [
         lambda: K3_ADJ,
         lambda: K2_ADJ,
         petersen_adjacency,
     ])
     def test_agree(self, adj_factory):
-        assert agree(adj_factory()) is True
+        adj = adj_factory()
+        for rot in (solve_backtracking(adj), solve_matching(adj)):
+            assert is_consistent(rot)
+            assert adjacency_from_rotation(rot) == adj
 
     def test_inconclusive_on_tiny_budget(self):
-        assert agree(petersen_adjacency(), budget=3) is None
+        # the search gives up, while the matching constructor still labels the graph
+        with pytest.raises(SearchBudgetExceededError):
+            solve_backtracking(petersen_adjacency(), budget=3)
+        assert is_consistent(solve_matching(petersen_adjacency()))
 
     def test_budget_below_one_rejected(self):
         with pytest.raises(ParameterError):
-            agree(petersen_adjacency(), budget=0)
+            solve_backtracking(petersen_adjacency(), budget=0)
