@@ -9,6 +9,13 @@ A map is *consistent* when every vertex receives its d incoming edges under
 d pairwise distinct ports, which for a valid map is the same as every column
 of the matrix form being a permutation of the vertex set.
 
+A table is recognized as a valid map, and its return ports found, by
+look-ups alone (:func:`_pair`): a count of in-degrees, one stable sort of
+the heads and a sort of each row, O(n*d*log d) plus that one sort, in
+O(n*d) memory.  Both the ports and the report are cached on the map, so
+each map is paired once.  Only a table that is not a valid map is searched
+by sorting its dart keys, to name its defects (:func:`_check`).
+
 All vertex ids and ports are 1-indexed, here and in every file format.
 """
 
@@ -73,8 +80,19 @@ class RotationMatrix:
         return int(self.entries.shape[1])
 
     @functools.cached_property
+    def _ports(self) -> np.ndarray | None:
+        ports = _pair(self.entries)
+        if ports is not None:
+            ports.setflags(write=False)
+        return ports
+
+    @functools.cached_property
     def _report(self) -> ValidationReport:
-        return _check(self.entries)
+        if self._ports is None:
+            return _check(self.entries)
+        column = _column_repeats(self.entries)
+        return ValidationReport(is_valid_map=True, is_consistent=not column,
+                                violations=tuple(column))
 
     def __eq__(self, other):
         if not isinstance(other, RotationMatrix):
@@ -129,27 +147,74 @@ def validate(rot: RotationMatrix) -> ValidationReport:
     as v appears in row w.  It is additionally consistent when every column
     is a permutation of the vertex set, i.e. no vertex repeats in a column.
 
-    The report is computed once per map and cached on it.
+    A valid map is recognized by the look-ups that pair its darts, in
+    O(n*d*log d) time plus one stable sort of the heads, and its column
+    repeats are counted in one pass; only a table that is not a valid map
+    is searched by sorting its dart keys, in O(n*d*log(n*d)) time.  Memory
+    is O(n*d) either way.  The report is computed once per map and cached
+    on it, beside the return ports.
     """
     return rot._report
 
 
+def _pair(ent: np.ndarray) -> np.ndarray | None:
+    """Return ports of a valid map, found by look-ups alone; None if the table is not one.
+
+    One stable sort of the heads lists, for each vertex v, its d in-darts
+    with their tails ascending; sorting each row lists v's heads ascending.
+    The table is a valid map exactly when it has no self-loop, every
+    in-degree is d, no sorted row repeats and row v's sorted heads equal the
+    sorted tails entering v.  Then the k-th head w of row v is matched to
+    the k-th in-dart of v, which leaves w, and that dart's port is the
+    return port.
+    """
+    n, d = ent.shape
+    if (ent == np.arange(1, n + 1)[:, None]).any():
+        return None
+    if (np.bincount(ent.ravel(), minlength=n + 1)[1:] != d).any():
+        return None
+    # row v-1 holds the in-darts (w-1)*d + (j-1) of vertex v, w ascending
+    inward = np.argsort(ent.ravel(), kind="stable").reshape(n, d)
+    by_row = np.argsort(ent, axis=1)
+    heads = np.take_along_axis(ent, by_row, axis=1)
+    if (heads[:, 1:] == heads[:, :-1]).any():
+        return None
+    heads -= 1
+    if not np.array_equal(heads, inward // d):
+        return None
+    del heads
+    inward %= d
+    inward += 1
+    ports = np.empty_like(inward)
+    np.put_along_axis(ports, by_row, inward, axis=1)
+    return ports
+
+
+def _column_repeats(ent: np.ndarray) -> list[Violation]:
+    """``duplicate-in-column`` defects, counted over the keys i*n + (w-1) in ascending order."""
+    n, d = ent.shape
+    keys = ent - 1
+    keys += np.arange(d) * n
+    counts = np.bincount(keys.ravel(), minlength=n * d)
+    del keys
+    (rep,) = np.nonzero(counts > 1)
+    violations = []
+    for key, k in zip(rep.tolist(), counts[rep].tolist()):
+        i, w = divmod(key, n)
+        violations.append(
+            Violation("duplicate-in-column", (i + 1, w + 1),
+                      f"duplicate-in-column at column {i + 1}: vertex {w + 1} appears {k} times")
+        )
+    return violations
+
+
 def _check(ent: np.ndarray) -> ValidationReport:
-    """Defects found by sorting the dart keys: O(n*d*log(n*d)) time, O(n*d) memory."""
+    """Every defect, found by sorting the row keys: O(n*d*log(n*d)) time, O(n*d) memory.
+
+    Only tables that :func:`_pair` refuses come here, to have their defects named.
+    """
     n, d = ent.shape
     violations: list[Violation] = []
-
-    def repeats(axis: str, index: np.ndarray):
-        """Sorted keys index*n + (w-1), one per (row or column, vertex) pair, and their counts."""
-        keys, counts = np.unique(index * n + (ent - 1), return_counts=True)
-        for key, k in zip(keys[counts > 1].tolist(), counts[counts > 1].tolist()):
-            a, w = divmod(key, n)
-            kind = f"duplicate-in-{axis}"
-            violations.append(
-                Violation(kind, (a + 1, w + 1),
-                          f"{kind} at {axis} {a + 1}: vertex {w + 1} appears {k} times")
-            )
-        return keys, counts
 
     for r, c in zip(*np.nonzero(ent == np.arange(1, n + 1)[:, None])):
         violations.append(
@@ -157,7 +222,15 @@ def _check(ent: np.ndarray) -> ValidationReport:
                       f"self-loop at row {r + 1}, column {c + 1}")
         )
 
-    keys, counts = repeats("row", np.arange(n)[:, None])
+    # sorted keys v*n + (w-1), one per (row, vertex) pair, and their counts
+    keys, counts = np.unique(np.arange(n)[:, None] * n + (ent - 1), return_counts=True)
+    for key, k in zip(keys[counts > 1].tolist(), counts[counts > 1].tolist()):
+        v, w = divmod(key, n)
+        violations.append(
+            Violation("duplicate-in-row", (v + 1, w + 1),
+                      f"duplicate-in-row at row {v + 1}: vertex {w + 1} appears {k} times")
+        )
+
     # the reverse pair (w, v) of key v*n + (w-1) has key (w-1)*n + v; absent keys count 0
     rev = keys % n * n + keys // n
     pos = np.minimum(np.searchsorted(keys, rev), keys.size - 1)
@@ -173,7 +246,7 @@ def _check(ent: np.ndarray) -> ValidationReport:
             )
         )
 
-    repeats("column", np.arange(d))
+    violations += _column_repeats(ent)
 
     is_valid = not any(v.kind in MAP_VIOLATION_KINDS for v in violations)
     return ValidationReport(is_valid_map=is_valid, is_consistent=is_valid and not violations,
@@ -204,16 +277,9 @@ def to_full_form(rot: RotationMatrix) -> np.ndarray:
     The partner of dart (v, i) is (w, j) with w = ``rot.entries[v-1, i-1]``:
     row w lists v at port j.  Requires a valid map; there the partner port
     is unique because v appears exactly once in row w, and the pairing is an
-    involution on all darts.
+    involution on all darts.  The ports are found by the same look-ups that
+    validate the map, O(n*d*log d) plus one stable sort of the heads in
+    O(n*d) memory, and are cached on it: this call copies nothing.
     """
     _require_valid(rot)
-    ent = rot.entries
-    n, d = ent.shape
-    # dart (v, i) has key (v-1)*n + (w-1) and its partner (w, j) the reverse
-    # key (w-1)*n + (v-1): one sort pairs them in O(n*d) memory
-    keys = (np.arange(n)[:, None] * n + (ent - 1)).ravel()
-    order = np.argsort(keys)
-    partner = order[np.searchsorted(keys[order], (ent - 1) * n + np.arange(n)[:, None])]
-    ports = partner % d + 1
-    ports.setflags(write=False)
-    return ports
+    return rot._ports

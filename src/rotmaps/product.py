@@ -54,8 +54,10 @@ def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> Rotation
             InconsistentInputWarning,
             stacklevel=2,
         )
-    # axes (cloud, in-cloud vertex, port)
-    local = inner.entries[None] + vg * np.arange(vh)[:, None, None]
-    bridge = np.arange(1, vg + 1)[None, :, None] + vg * (outer.entries[:, None, :] - 1)
-    table = np.concatenate([local, bridge], axis=2)
-    return RotationMatrix(table.reshape(vg * vh, inner.degree + outer.degree))
+    # axes (cloud, in-cloud vertex, port), filled in place by the two rules
+    dg = inner.degree
+    table = np.empty((vh, vg, dg + outer.degree), dtype=np.int64)
+    np.add(inner.entries[None], vg * np.arange(vh)[:, None, None], out=table[..., :dg])
+    np.add(np.arange(1, vg + 1)[None, :, None], vg * (outer.entries[:, None, :] - 1),
+           out=table[..., dg:])
+    return RotationMatrix(table.reshape(vg * vh, dg + outer.degree))

@@ -205,15 +205,43 @@ class TestScale:
         assert (rot.entries[0, 0], ports[0, 0]) == (2, 399)
         assert peak < 50 * 2**20
 
+    def test_validate_and_shift_peak_in_tables(self):
+        # a fresh 100 000-vertex torus: pairing its darts holds a few int64
+        # tables at a time, and the shift reads the cached ports
+        rot = cartesian_rotation(cycle(400), cycle(250))
+        table = rot.entries.nbytes
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: validate(rot)) < 7 * table
+        assert peak(lambda: build_shift(rot)) < 4 * table
+
     def test_each_map_checked_once(self, monkeypatch):
+        # a valid map is paired once and never searched; an invalid table is
+        # refused by the pairing, then searched once to name its defects
         from rotmaps import core
         from rotmaps.io import format_rot, parse_rot
 
-        calls = []
-        check = core._check
-        monkeypatch.setattr(core, "_check", lambda ent: calls.append(ent.shape) or check(ent))
+        paired, checked = [], []
+        pair, check = core._pair, core._check
+        monkeypatch.setattr(core, "_pair", lambda ent: paired.append(ent.shape) or pair(ent))
+        monkeypatch.setattr(core, "_check", lambda ent: checked.append(ent.shape) or check(ent))
         rot = parse_rot(format_rot(cycle(7)))
         assert validate(rot) is validate(rot)
         build_shift(rot)
-        to_full_form(rot)
-        assert calls == [(7, 2)]
+        assert to_full_form(rot) is to_full_form(rot)
+        assert paired == [(7, 2)]
+        assert checked == []
+
+        bad = RotationMatrix([[2, 2], [1, 1]])
+        assert validate(bad) is validate(bad)
+        with pytest.raises(InvalidRotationMapError):
+            to_full_form(bad)
+        assert paired == [(7, 2), (2, 2)]
+        assert checked == [(2, 2)]

@@ -1,5 +1,7 @@
 """Box products of rotation maps: the cloud layout of the table and preservation laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,16 @@ class TestCartesianRotation:
         assert prod.num_vertices == 15
         assert prod.degree == 4
 
+    def test_fills_one_table_in_place(self):
+        # the two rules write into one preallocated table; the map's own
+        # read-only copy of it is the only other table-sized array
+        inner, outer = cycle(400), cycle(250)
+        validate(inner)
+        validate(outer)
+        tracemalloc.start()
+        try:
+            prod = cartesian_rotation(inner, outer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * prod.entries.nbytes

@@ -2,7 +2,9 @@
 
 ``reference_validate`` is the row-by-row validity check the vectorized
 :func:`rotmaps.validate` replaced; the reports must agree exactly, in kinds,
-locations, messages and order.  Likewise ``parse_adj`` must agree with the
+locations, messages and order.  ``reference_full_form`` is the pairing by a
+sort and search of the dart keys that the look-up pairing replaced; the
+return ports must be equal.  Likewise ``parse_adj`` must agree with the
 cell-by-cell read it keeps for non-canonical text, on every text, and
 ``parse_rot``/``parse_perm`` with the line-by-line ``reference_parse_rot``
 and ``reference_parse_perm``, in the table or in the error message, and
@@ -159,6 +161,72 @@ def test_full_form_is_an_involution(rot):
     w, j = rot.entries - 1, ports - 1
     assert np.array_equal(rot.entries[w, j], np.repeat(np.arange(1, n + 1), d).reshape(n, d))
     assert np.array_equal(ports[w, j], np.tile(np.arange(1, d + 1), (n, 1)))
+
+
+def reference_full_form(rot):
+    """Return ports by one sort of the dart keys and a search for each reverse key.
+
+    Dart (v, i) has key (v-1)*n + (w-1) and its partner (w, j) the reverse
+    key (w-1)*n + (v-1).
+    """
+    ent = rot.entries
+    n, d = ent.shape
+    keys = (np.arange(n)[:, None] * n + (ent - 1)).ravel()
+    order = np.argsort(keys)
+    partner = order[np.searchsorted(keys[order], (ent - 1) * n + np.arange(n)[:, None])]
+    return partner % d + 1
+
+
+@st.composite
+def consistent_maps(draw):
+    """A solved random regular graph, its columns permuted and its vertices relabelled.
+
+    Always consistent: permuting columns keeps each one a permutation, and
+    relabelling conjugates each column by the same permutation.
+    """
+    rot = solve_matching(draw(regular_graphs()))
+    n, d = rot.entries.shape
+    columns = np.array(draw(st.permutations(range(d))))
+    label = np.array(draw(st.permutations(range(1, n + 1))))
+    table = np.empty_like(rot.entries)
+    table[label - 1] = label[rot.entries[:, columns] - 1]
+    return RotationMatrix(table)
+
+
+@PROPERTY
+@given(valid_maps())
+def test_full_form_matches_reference_on_valid_maps(rot):
+    assert np.array_equal(to_full_form(rot), reference_full_form(rot))
+
+
+@PROPERTY
+@given(consistent_maps())
+def test_full_form_matches_reference_on_consistent_maps(rot):
+    assert validate(rot) == reference_validate(rot.entries)
+    assert is_consistent(rot)
+    assert np.array_equal(to_full_form(rot), reference_full_form(rot))
+
+
+REFUSED_TABLES = {
+    # every column is a permutation and every in-degree 2, but 1 -> 2 has no 2 -> 1
+    "c5-steps-1-and-2": [[(v + 1) % 5 + 1, (v + 2) % 5 + 1] for v in range(5)],
+    # the column swaps 1 and 2 and fixes 3, a self-loop
+    "involution-with-fixed-point": [[2], [1], [3]],
+    # both columns are the 3-cycle 1 -> 2 -> 3 -> 1, so every row repeats
+    "row-duplicate-of-permutations": [[2, 2], [3, 3], [1, 1]],
+    # no row repeats, but vertex 2 is entered twice and vertex 4 never
+    "in-degree-not-d": [[2], [1], [2], [3]],
+}
+
+
+@pytest.mark.parametrize("table", REFUSED_TABLES.values(), ids=REFUSED_TABLES)
+def test_pairing_refuses_invalid_tables(table):
+    from rotmaps import core
+
+    assert core._pair(np.array(table)) is None
+    report = validate(RotationMatrix(table))
+    assert not report.is_valid_map
+    assert report == reference_validate(table)
 
 
 @PROPERTY
