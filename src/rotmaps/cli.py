@@ -115,9 +115,10 @@ def cmd_shift(args) -> int:
 def cmd_spectrum(args) -> int:
     a1 = _load_adj(args.path)
     if args.path2 is None:
+        degree = a1.degree()  # a non-regular graph fails here, before the O(n^3) solve
         spec = spectrum(a1)
         print(f"order {a1.order}")
-        print(f"degree {a1.degree()}")
+        print(f"degree {degree}")
         for value in spec.values:
             print(f"{value:.12g}")
         return 0

@@ -8,11 +8,11 @@ increasing order), and they cross-check each other:
 
 * an exhaustive backtracking search over arcs in lexicographic order
   (complete but exponential in the worst case, meant for small graphs);
-* a polynomial constructor that peels the arc set into d perfect matchings
-  of the out-side/in-side bipartite graph (the residual graph stays regular,
-  so a perfect matching always exists), assigning one label per matching.
-  Each matching is a greedy pass plus an iterative alternating-path search
-  in a fixed scan order: deterministic, and with no recursion limit.
+* a polynomial constructor that properly edge-colours the out-side/in-side
+  double cover with d labels in one pass over the arcs, by König's
+  alternating-path recolouring: an arc with no label free at both ends
+  swaps two labels along one alternating path first.  Each of the n·d arcs
+  costs O(d) plus the length of its path, deterministic, with no recursion.
 """
 
 from __future__ import annotations
@@ -84,87 +84,66 @@ def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET)
     return RotationMatrix(entries)
 
 
-def _augment(root: int, remaining: list[list[int]], match_in: list[int],
-             match_out: list[int], seen: list[int]) -> bool:
-    """Match out-side ``root`` along an alternating path; False if there is none.
-
-    Depth-first search with an explicit stack.  Each out-side reached is
-    first scanned for a free in-side among its remaining arcs; only then are
-    its matched in-sides followed.  ``seen[w] == root`` marks the in-sides
-    already followed in this search.
-    """
-    path = [root]  # out-sides on the current alternating path
-    via = []       # via[k]: the in-side path[k] takes once the path augments
-    todo = [iter(remaining[root])]
-    while todo:
-        w = next((w for w in todo[-1] if seen[w] != root), None)
-        if w is None:
-            todo.pop()
-            path.pop()
-            if via:
-                via.pop()
-            continue
-        seen[w] = root
-        via.append(w)
-        u = match_in[w]
-        if u >= 0:
-            path.append(u)
-            free = next((x for x in remaining[u] if match_in[x] < 0), None)
-            if free is None:
-                todo.append(iter(remaining[u]))
-                continue
-            via.append(free)
-        for u, w in zip(path, via):
-            match_in[w] = u
-            match_out[u] = w
-        return True
-    return False
-
-
 def _check_labels(scan: np.ndarray, entries: np.ndarray) -> None:
     """Each output row, sorted, is its row-scan row, and each column is a permutation."""
     n = scan.shape[0]
     same_arcs = np.array_equal(np.sort(entries, axis=1), scan)
     in_distinct = (np.sort(entries, axis=0) == np.arange(1, n + 1)[:, None]).all()
     if not (same_arcs and in_distinct):
-        raise RotmapsError("matching rounds did not label every arc exactly once")
+        raise RotmapsError("recolouring did not label every arc exactly once")
 
 
 def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
-    """Polynomial construction: one perfect matching of the arc set per label.
+    """Polynomial construction: one pass of alternating-path recolouring.
 
-    Round r finds a perfect matching between out-sides and in-sides among
-    the still-unlabeled arcs and labels its arcs r.  Each round is a greedy
-    pass (every out-side, in ascending order, takes its first free in-side)
-    followed by an iterative alternating-path search for each out-side left
-    unmatched, so there is no recursion and no depth limit; scan orders are
-    fixed, so the output is a deterministic function of the input.
-    Removing a perfect matching from a regular bipartite graph keeps it
-    regular, so every round succeeds.
+    Arcs are labelled in the row-major order of the row-scan table.  Arc
+    (u, w) takes the lowest label free both leaving u and entering w.  When
+    there is none, let a be the lowest label free at u and b the lowest free
+    at w; the path from w that alternates in-arcs labelled a and out-arcs
+    labelled b (König's argument) swaps a and b on every arc, which frees a
+    at w, and the arc takes a.  The path cannot reach u, which has no arc
+    labelled a, nor come back to w, which has none labelled b, so it ends.
+    The walk is a loop, with no recursion and no depth limit, and the scan
+    order is fixed, so the output is a deterministic function of the input.
     """
     scan = rotation_from_adjacency(adjacency).entries
     n, d = scan.shape
-    remaining = (scan - 1).tolist()
-    entries = np.zeros((n, d), dtype=np.int64)
+    out = [[-1] * d for _ in range(n)]  # out[u][c]: head of u's arc labelled c
+    into = [[-1] * d for _ in range(n)]  # into[w][c]: tail of w's arc labelled c
+    out_free = [(1 << d) - 1] * n  # bitmask of labels not yet leaving each vertex
+    in_free = [(1 << d) - 1] * n   # bitmask of labels not yet entering each vertex
 
-    for label in range(1, d + 1):
-        match_in = [-1] * n
-        match_out = [-1] * n
-        for u in range(n):
-            w = next((w for w in remaining[u] if match_in[w] < 0), None)
-            if w is not None:
-                match_in[w] = u
-                match_out[u] = w
-        seen = [-1] * n
-        for u in range(n):
-            if match_out[u] < 0 and not _augment(u, remaining, match_in, match_out, seen):
-                # unreachable: the residual graph is regular bipartite
-                raise RotmapsError(f"no perfect matching among remaining arcs in round {label}")
-        entries[:, label - 1] = match_out
-        for u, w in enumerate(match_out):
-            remaining[u].remove(w)
+    for k, w in enumerate((scan - 1).ravel().tolist()):
+        u = k // d
+        free = out_free[u] & in_free[w]
+        if free:
+            a = (free & -free).bit_length() - 1
+        else:
+            a = (out_free[u] & -out_free[u]).bit_length() - 1
+            b = (in_free[w] & -in_free[w]).bit_length() - 1
+            # swap a and b at each vertex of the path while walking it; inner
+            # vertices keep both labels, the two ends trade one for the other
+            swap = 1 << a | 1 << b
+            in_free[w] ^= swap
+            y = w
+            while True:
+                row = into[y]
+                x = row[a]
+                row[a], row[b] = row[b], row[a]
+                if x < 0:
+                    in_free[y] ^= swap
+                    break
+                row = out[x]
+                y = row[b]
+                row[a], row[b] = row[b], row[a]
+                if y < 0:
+                    out_free[x] ^= swap
+                    break
+        out[u][a] = w
+        into[w][a] = u
+        out_free[u] &= ~(1 << a)
+        in_free[w] &= ~(1 << a)
 
-    entries += 1
+    entries = np.array(out, dtype=np.int64) + 1
     _check_labels(scan, entries)
     return RotationMatrix(entries)
-

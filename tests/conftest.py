@@ -51,14 +51,15 @@ def random_regular_adjacency(n, d, seed):
     stubs = [v for v in range(1, n + 1) for _ in range(d)]
     for _ in range(100_000):
         rng.shuffle(stubs)
-        mat = np.zeros((n, n), dtype=np.int64)
-        simple = True
+        arcs = set()  # both directions of each edge paired so far
         for a, b in zip(stubs[::2], stubs[1::2]):
-            if a == b or mat[a - 1, b - 1]:
-                simple = False
+            if a == b or (a, b) in arcs:
                 break
-            mat[a - 1, b - 1] = mat[b - 1, a - 1] = 1
-        if simple:
+            arcs.update(((a, b), (b, a)))
+        else:
+            tails, heads = np.array(list(arcs)).T
+            mat = np.zeros((n, n), dtype=np.int64)
+            mat[tails - 1, heads - 1] = 1
             return AdjacencyMatrix(mat)
     raise RuntimeError(f"no simple pairing found for n={n}, d={d}, seed={seed}")
 

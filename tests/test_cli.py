@@ -266,6 +266,9 @@ class TestAdjacencyCommands:
     def test_spectrum_non_regular(self, tmp_path, capsys):
         adj = write(tmp_path, "path.adj", "0,1,0\n1,0,1\n0,1,0\n")
         assert main(["spectrum", adj]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
 
 class TestShiftAndExport:
