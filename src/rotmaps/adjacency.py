@@ -3,8 +3,10 @@
 Covers the round trip between rotation maps and dense adjacency matrices,
 the Kronecker-sum Cartesian product, spectra via LAPACK ``eigvalsh``, and
 the structural checks on products (vertex count, regularity, edge count,
-spectrum additivity).  Matrices are dense: O(n^2) memory, and O(n^3) time
-for a spectrum.
+spectrum additivity).  Matrices are dense, one byte per cell: n^2 bytes,
+built in one array with no wider temporaries.  A spectrum takes O(n^3) time
+and a float64 copy of 8 n^2 bytes, so graphs of more than
+MAX_SPECTRUM_VERTICES vertices are refused before it is made.
 """
 
 from __future__ import annotations
@@ -29,13 +31,19 @@ __all__ = [
     "product_property_check",
 ]
 
+# eigvalsh holds two float64 copies, 16 n^2 bytes: `rotmap spectrum` peaks at
+# about 1.9 GB of address space at this order
+MAX_SPECTRUM_VERTICES = 10_000
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Dense symmetric 0/1 adjacency matrix of a simple graph on >= 2 vertices.
 
-    Symmetry and a zero diagonal are enforced at construction; regularity is
-    checked on demand by :meth:`degree`.
+    ``matrix`` is a read-only uint8 copy of the input, one byte per cell.
+    Boolean and integer input of any width is accepted; each cell must be 0
+    or 1 before it is narrowed.  Symmetry and a zero diagonal are enforced
+    at construction; regularity is checked on demand by :meth:`degree`.
     """
 
     matrix: np.ndarray
@@ -47,11 +55,13 @@ class AdjacencyMatrix:
         n = arr.shape[0]
         if n < 2:
             raise MalformedInputError(f"adjacency matrix needs at least 2 vertices, got {n}")
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "biu":
             raise MalformedInputError("adjacency entries must be integers")
-        arr = arr.astype(np.int64)
-        if not ((arr == 0) | (arr == 1)).all():  # np.isin would make an int64 copy
+        if arr.dtype.kind == "i":  # read as unsigned, a negative cell is above 1
+            arr = arr.view(arr.dtype.str.replace("i", "u"))
+        if not (arr <= 1).all():
             raise MalformedInputError("adjacency entries must be 0 or 1")
+        arr = arr.astype(np.uint8, order="C")
         if np.any(np.diag(arr) != 0):
             v = int(np.nonzero(np.diag(arr))[0][0]) + 1
             raise MalformedInputError(f"nonzero diagonal at vertex {v} (self-loops not allowed)")
@@ -67,7 +77,7 @@ class AdjacencyMatrix:
 
     def degree(self) -> int:
         """Common row sum; raises RegularityError when rows disagree."""
-        sums = self.matrix.sum(axis=1)
+        sums = np.count_nonzero(self.matrix.view(bool), axis=1)
         if not np.all(sums == sums[0]):
             raise RegularityError(
                 f"graph is not regular: vertex degrees range over {sorted(set(int(s) for s in sums))}"
@@ -75,7 +85,7 @@ class AdjacencyMatrix:
         return int(sums[0])
 
     def edge_count(self) -> int:
-        return int(self.matrix.sum()) // 2
+        return np.count_nonzero(self.matrix) // 2
 
     def __eq__(self, other):
         if not isinstance(other, AdjacencyMatrix):
@@ -131,14 +141,16 @@ def rotation_from_adjacency(adj: AdjacencyMatrix) -> RotationMatrix:
     d = adj.degree()
     if d < 1:
         raise RegularityError("graph has no edges; a rotation map needs degree at least 1")
-    return RotationMatrix(np.nonzero(adj.matrix)[1].reshape(adj.order, d) + 1)
+    n = adj.order
+    # a flat boolean scan is several times faster than np.nonzero on n x n uint8
+    return RotationMatrix((np.flatnonzero(adj.matrix.view(bool)) % n).reshape(n, d) + 1)
 
 
 def adjacency_from_rotation(rot: RotationMatrix) -> AdjacencyMatrix:
     """Adjacency matrix of the graph a valid rotation map describes."""
     _require_valid(rot)
     n, d = rot.entries.shape
-    arr = np.zeros((n, n), dtype=np.int64)
+    arr = np.zeros((n, n), dtype=np.uint8)
     arr[np.repeat(np.arange(n), d), rot.entries.ravel() - 1] = 1
     return AdjacencyMatrix(arr)
 
@@ -151,14 +163,17 @@ def cartesian_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMa
     factor, exactly as the rotation-map product lays its clouds out.  In
     that numbering the Kronecker sum reads A2 (x) I + I (x) A1; the swapped
     ordering would enumerate copies of the second factor instead and differ
-    by a shuffle relabeling.
+    by a shuffle relabeling.  Both terms are written into one uint8 array,
+    seen as blocks[i, j, i', j'] for the cell of (i, j) and (i', j').
     """
     a1.degree()
     a2.degree()
     n1, n2 = a1.order, a2.order
-    out = np.kron(a2.matrix, np.eye(n1, dtype=np.int64)) + np.kron(
-        np.eye(n2, dtype=np.int64), a1.matrix
-    )
+    out = np.zeros((n2 * n1, n2 * n1), dtype=np.uint8)
+    blocks = out.reshape(n2, n1, n2, n1)
+    copies, cloud = np.arange(n2), np.arange(n1)
+    blocks[copies, :, copies, :] = a1.matrix  # I (x) A1: each copy of the first factor
+    blocks[:, cloud, :, cloud] = a2.matrix  # A2 (x) I: vertex j of copy i to vertex j of copy i'
     return AdjacencyMatrix(out)
 
 
@@ -167,14 +182,22 @@ def spectrum(adj: AdjacencyMatrix) -> Spectrum:
 
     LAPACK's symmetric eigensolver is backward stable, so each eigenvalue is
     accurate to about eps * max|lambda|; that bound is the result's
-    ``tolerance``.  Raises ConvergenceError if LAPACK fails to converge.
+    ``tolerance``.  Raises ConvergenceError if LAPACK fails to converge, and
+    ParameterError, before any copy, above MAX_SPECTRUM_VERTICES vertices.
     """
+    _require_spectrum_order(adj.order)
     try:
         values = np.linalg.eigvalsh(adj.matrix.astype(np.float64))[::-1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     tolerance = float(np.finfo(np.float64).eps * np.max(np.abs(values)))
     return Spectrum(values=values, tolerance=tolerance)
+
+
+def _require_spectrum_order(n: int) -> None:
+    if n > MAX_SPECTRUM_VERTICES:
+        raise ParameterError(
+            f"spectrum of {n} vertices is above the limit of {MAX_SPECTRUM_VERTICES}")
 
 
 def sum_spectra(s1: Spectrum, s2: Spectrum) -> Spectrum:
@@ -248,6 +271,7 @@ def product_property_check(a1: AdjacencyMatrix, a2: AdjacencyMatrix, *,
     if not spectrum_tol >= 0:  # also rejects NaN
         raise ParameterError(f"spectrum tolerance must be a nonnegative number, got {spectrum_tol}")
     d1, d2 = a1.degree(), a2.degree()
+    _require_spectrum_order(a1.order * a2.order)  # before the product is built
     prod = cartesian_adjacency(a1, a2)
     expected_spec = sum_spectra(spectrum(a1), spectrum(a2))
     actual_spec = spectrum(prod)

@@ -37,6 +37,7 @@ def _load_rot(path: Path, **kwargs):
 
 
 def _load_adj(path: Path):
+    formats._require_adj_size(path.stat().st_size)  # before the text is read
     return formats.parse_adj(path.read_text())
 
 

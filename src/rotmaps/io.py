@@ -15,6 +15,9 @@ text with CRLF line ends in that pass, and any other whitespace layout
 that re-joins their tokens by single spaces.  Malformed input is read
 row by row, which names the first malformed row.
 
+An ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
+line ends is refused before any array is made.
+
 Plus one-way exports: DOT (undirected graph, each edge labeled with its two
 ports) and JSON (``{"n":…,"d":…,"rot":[[…]]}``).
 """
@@ -28,7 +31,7 @@ import numpy as np
 
 from .core import RotationMatrix, to_full_form, validate
 from .adjacency import AdjacencyMatrix
-from .exceptions import MalformedInputError
+from .exceptions import MalformedInputError, ParameterError
 from .shift import ShiftPermutation, verify_unitary
 
 __all__ = [
@@ -41,6 +44,10 @@ __all__ = [
     "format_dot",
     "format_json",
 ]
+
+# a 512 MB canonical text, which `rotmap solve` reads at a peak of about 1.6 GB
+# of address space
+MAX_ADJ_VERTICES = 16_000
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -212,6 +219,14 @@ def format_adj(adj: AdjacencyMatrix) -> str:
     return buf.tobytes().decode("ascii")
 
 
+def _require_adj_size(size: int) -> None:
+    """Refuse .adj text of ``size`` bytes when it is longer than the limit allows."""
+    limit = 2 * MAX_ADJ_VERTICES**2 + MAX_ADJ_VERTICES  # CRLF text of the largest graph
+    if size > limit:
+        raise ParameterError(f".adj text of {size} bytes is above the limit of {limit} bytes "
+                             f"({MAX_ADJ_VERTICES} vertices)")
+
+
 def _adj_cells(text: str) -> np.ndarray | None:
     """The 0/1 cells of canonical .adj text as a uint8 matrix, or None.
 
@@ -248,8 +263,8 @@ def _adj_rows(text: str) -> np.ndarray:
             if token not in ("0", "1"):
                 raise MalformedInputError(f"row {number}: entry {token!r} is not 0 or 1")
             row.append(int(token))
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+        rows.append(np.array(row, dtype=np.uint8))  # one byte per cell, not a list of ints
+    return np.array(rows)
 
 
 def parse_adj(text: str) -> AdjacencyMatrix:
@@ -257,8 +272,10 @@ def parse_adj(text: str) -> AdjacencyMatrix:
 
     Canonical text is read in one pass over its bytes; any other layout
     (CRLF, padded tokens, no final newline, malformed input) goes through
-    the cell-by-cell read.
+    the cell-by-cell read.  Text longer than that of MAX_ADJ_VERTICES
+    vertices is refused with ParameterError before any array is made.
     """
+    _require_adj_size(len(text))
     cells = _adj_cells(text)
     return AdjacencyMatrix(_adj_rows(text) if cells is None else cells)
 

@@ -1,6 +1,7 @@
 """Shared test fixtures: the family corpus and seeded random regular graphs."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ def random_regular_adjacency(n, d, seed):
             mat[tails - 1, heads - 1] = 1
             return AdjacencyMatrix(mat)
     raise RuntimeError(f"no simple pairing found for n={n}, d={d}, seed={seed}")
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def is_connected(adj):

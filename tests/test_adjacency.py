@@ -1,9 +1,10 @@
 """Adjacency algebra: row-scan reading, round trips, Kronecker-sum products."""
 
+
 import numpy as np
 import pytest
 
-from conftest import CORPUS, CORPUS_IDS
+from conftest import CORPUS, CORPUS_IDS, traced_peak
 from rotmaps import (
     AdjacencyMatrix,
     MalformedInputError,
@@ -11,6 +12,7 @@ from rotmaps import (
     RotationMatrix,
     adjacency_from_rotation,
     cartesian_adjacency,
+    cartesian_rotation,
     cycle,
     is_consistent,
     rotation_from_adjacency,
@@ -50,6 +52,37 @@ class TestAdjacencyMatrix:
         adj = AdjacencyMatrix(K2_ADJ)
         with pytest.raises(ValueError):
             adj.matrix[0, 1] = 0
+
+
+class TestOneBytePerCell:
+    @pytest.mark.parametrize("cell", [2, -1, 256])
+    def test_int64_cell_outside_0_1_rejected(self, cell):
+        # 256 narrowed to one byte first would read as 0 and pass
+        mat = np.array(C4_ADJ, dtype=np.int64)
+        mat[0, 1] = mat[1, 0] = cell
+        with pytest.raises(MalformedInputError, match="0 or 1"):
+            AdjacencyMatrix(mat)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int8, np.int64, np.uint64, ">i8"])
+    def test_every_integer_type_gives_the_same_matrix(self, dtype):
+        adj = AdjacencyMatrix(np.array(C4_ADJ, dtype=dtype))
+        assert adj == AdjacencyMatrix(np.array(C4_ADJ, dtype=np.int64))
+        assert adj.matrix.tolist() == C4_ADJ
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_matrix_is_a_read_only_uint8_copy(self, dtype):
+        mat = np.asfortranarray(np.array(C4_ADJ, dtype=dtype))
+        adj = AdjacencyMatrix(mat)
+        assert adj.matrix.dtype == np.uint8 and adj.matrix.flags.c_contiguous
+        assert not adj.matrix.flags.writeable
+        assert mat.flags.writeable and not np.shares_memory(mat, adj.matrix)
+
+    def test_k300_counts_past_one_byte(self):
+        # a row sum or total in a uint8 accumulator would wrap at 256
+        adj = AdjacencyMatrix(1 - np.eye(300, dtype=np.uint8))
+        assert adj.degree() == 299
+        assert adj.edge_count() == 44850
+        assert rotation_from_adjacency(adj).entries[299].tolist() == list(range(1, 300))
 
 
 class TestRowScanReading:
@@ -129,3 +162,16 @@ class TestCartesianAdjacency:
         for rg, rh in pairs:
             ag, ah = adjacency_from_rotation(rg), adjacency_from_rotation(rh)
             assert cartesian_adjacency(ag, ah).order == ag.order * ah.order
+
+
+class TestDenseMemory:
+    # one uint8 array is built and copied once, and the checks hold one
+    # n x n boolean array at a time: 3 n^2 bytes; the int64 matrix took
+    # 18 n^2 here, and np.kron's int64 temporaries 24 n^2
+    def test_adjacency_from_rotation(self):
+        rot = cartesian_rotation(cycle(50), cycle(50))
+        assert traced_peak(lambda: adjacency_from_rotation(rot)) < 4 * 2500**2
+
+    def test_cartesian_adjacency(self):
+        c50, c40 = adjacency_from_rotation(cycle(50)), adjacency_from_rotation(cycle(40))
+        assert traced_peak(lambda: cartesian_adjacency(c50, c40)) < 4 * 2000**2

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import rotmaps.adjacency
 from rotmaps import (
     adjacency_from_rotation,
     complete,
@@ -16,7 +17,7 @@ from rotmaps import (
 )
 from rotmaps.cli import main
 from rotmaps.families import MAX_DARTS, MAX_HYPERCUBE_DIMENSION
-from rotmaps.io import format_adj, format_rot, parse_rot
+from rotmaps.io import MAX_ADJ_VERTICES, format_adj, format_rot, parse_rot
 
 C5_FILE = "5 2\n2 5\n3 1\n4 2\n5 3\n1 4\n"
 
@@ -203,6 +204,27 @@ class TestAdjacencyCommands:
         assert is_consistent(rot)
         assert adjacency_from_rotation(rot) == adj
 
+    @pytest.mark.parametrize("command", ["solve", "from-adjacency", "spectrum"])
+    def test_adj_past_the_vertex_limit_is_one_error_line(self, tmp_path, capsys, command):
+        # a sparse file: its size is that of MAX_ADJ_VERTICES + 1 vertices, but
+        # no data is written, and none may be read
+        size = 2 * (MAX_ADJ_VERTICES + 1) ** 2
+        path = tmp_path / "big.adj"
+        with open(path, "wb") as f:
+            f.truncate(size)
+        tracemalloc.start()
+        try:
+            code = main([command, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1e6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: .adj text of {size} bytes is above the limit of "
+            f"{2 * MAX_ADJ_VERTICES**2 + MAX_ADJ_VERTICES} bytes ({MAX_ADJ_VERTICES} vertices)"]
+
     def test_solve_budget_exhaustion(self, tmp_path, capsys):
         adj = write(tmp_path, "k4.adj", format_adj(adjacency_from_rotation(cycle(4))))
         assert main(["solve", adj, "--method", "backtrack", "--budget", "2"]) == 1
@@ -262,6 +284,19 @@ class TestAdjacencyCommands:
         assert "FAIL" not in captured.out
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
         assert "tolerance" in captured.err
+
+    @pytest.mark.parametrize("factors", [(13,), (4, 4)])
+    def test_spectrum_past_its_limit_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                       factors):
+        monkeypatch.setattr(rotmaps.adjacency, "MAX_SPECTRUM_VERTICES", 12)
+        paths = [write(tmp_path, f"c{n}-{k}.adj", format_adj(adjacency_from_rotation(cycle(n))))
+                 for k, n in enumerate(factors)]
+        assert main(["spectrum", *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        order = 13 if len(factors) == 1 else 16
+        assert captured.err.splitlines() == [
+            f"error: spectrum of {order} vertices is above the limit of 12"]
 
     def test_spectrum_non_regular(self, tmp_path, capsys):
         adj = write(tmp_path, "path.adj", "0,1,0\n1,0,1\n0,1,0\n")

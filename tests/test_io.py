@@ -8,6 +8,7 @@ import rotmaps.io
 from conftest import CORPUS
 from rotmaps import (
     MalformedInputError,
+    ParameterError,
     RotationMatrix,
     adjacency_from_rotation,
     build_shift,
@@ -109,8 +110,10 @@ class TestAdjFormat:
             assert parse_adj(text) == adj
             assert format_adj(parse_adj(text)) == text
 
-    def test_parse_holds_one_int64_matrix(self):
-        # canonical text is read as bytes; the only n x n int64 array is the matrix
+    def test_parse_holds_one_uint8_matrix(self):
+        # canonical text is read as bytes, one byte per cell: the encoded
+        # text (2 n^2), the cells and one boolean check (n^2 each) peak at
+        # 4 n^2 bytes; the int64 matrix took 11 n^2
         text = format_adj(adjacency_from_rotation(cycle(2000)))
         tracemalloc.start()
         try:
@@ -118,7 +121,24 @@ class TestAdjFormat:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * 2000**2
+        assert peak < 5 * 2000**2
+
+    def test_text_past_the_vertex_limit_refused_before_any_array(self, monkeypatch):
+        monkeypatch.setattr(rotmaps.io, "MAX_ADJ_VERTICES", 1000)
+        text = format_adj(adjacency_from_rotation(cycle(1001)))
+
+        def refused():
+            with pytest.raises(ParameterError) as info:
+                parse_adj(text)
+            assert str(info.value) == (".adj text of 2004002 bytes is above the limit of "
+                                       "2001000 bytes (1000 vertices)")
+
+        assert traced_peak(refused) < 1e5  # the cells alone would be 10^6 bytes
+
+    def test_crlf_text_at_the_vertex_limit_is_read(self, monkeypatch):
+        monkeypatch.setattr(rotmaps.io, "MAX_ADJ_VERTICES", 30)
+        adj = adjacency_from_rotation(cycle(30))
+        assert parse_adj(format_adj(adj).replace("\n", "\r\n")) == adj
 
     @pytest.mark.parametrize("text", [
         "",

@@ -254,6 +254,15 @@ def test_rot_and_perm_round_trip(rot):
 
 @PROPERTY
 @given(regular_graphs())
+def test_row_scan_matches_two_dimensional_nonzero(adj):
+    # the flat boolean scan must list each row's neighbours as np.nonzero does
+    mat = adj.matrix.astype(np.int64)
+    expected = np.nonzero(mat)[1].reshape(adj.order, -1) + 1
+    assert np.array_equal(rotation_from_adjacency(adj).entries, expected)
+
+
+@PROPERTY
+@given(regular_graphs())
 def test_solve_matching_recovers_the_graph(adj):
     rot = solve_matching(adj)
     assert is_consistent(rot)

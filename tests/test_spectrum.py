@@ -9,7 +9,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import CORPUS
+import rotmaps.adjacency
+from conftest import CORPUS, traced_peak
 from rotmaps import (
     AdjacencyMatrix,
     ConvergenceError,
@@ -161,3 +162,32 @@ class TestProductPropertyCheck:
         )
         assert fabricated.failures() == ("vertex-count", "spectrum-additivity")
         assert not fabricated.all_hold
+
+
+class TestSpectrumCeiling:
+    def test_order_past_the_limit_refused_before_the_float64_copy(self, monkeypatch):
+        monkeypatch.setattr(rotmaps.adjacency, "MAX_SPECTRUM_VERTICES", 1000)
+        adj = adjacency_from_rotation(cycle(1001))
+
+        def refused():
+            with pytest.raises(ParameterError) as info:
+                spectrum(adj)
+            assert str(info.value) == "spectrum of 1001 vertices is above the limit of 1000"
+
+        assert traced_peak(refused) < 1e5  # the float64 copy alone is 8 * 10^6 bytes
+
+    def test_product_past_the_limit_refused_before_the_product(self, monkeypatch):
+        monkeypatch.setattr(rotmaps.adjacency, "MAX_SPECTRUM_VERTICES", 1000)
+        c40, c30 = adjacency_from_rotation(cycle(40)), adjacency_from_rotation(cycle(30))
+
+        def refused():
+            with pytest.raises(ParameterError, match="spectrum of 1200 vertices"):
+                product_property_check(c40, c30)
+
+        assert traced_peak(refused) < 1e5  # the uint8 product alone is 1.44 * 10^6 bytes
+
+    def test_order_at_the_limit_is_solved(self, monkeypatch):
+        monkeypatch.setattr(rotmaps.adjacency, "MAX_SPECTRUM_VERTICES", 24)
+        report = product_property_check(adjacency_from_rotation(cycle(6)),
+                                        adjacency_from_rotation(cycle(4)))
+        assert report.all_hold
