@@ -4,8 +4,9 @@ Covers the round trip between rotation maps and dense adjacency matrices,
 the Kronecker-sum Cartesian product, spectra via LAPACK ``eigvalsh``, and
 the structural checks on products (vertex count, regularity, edge count,
 spectrum additivity).  Matrices are dense, one byte per cell: n^2 bytes,
-built in one array with no wider temporaries.  A spectrum takes O(n^3) time
-and a float64 copy of 8 n^2 bytes, so graphs of more than
+built in one array with no wider temporaries, and a matrix of more than
+MAX_ADJ_VERTICES vertices is refused before it is built.  A spectrum takes
+O(n^3) time and a float64 copy of 8 n^2 bytes, so graphs of more than
 MAX_SPECTRUM_VERTICES vertices are refused before it is made.
 """
 
@@ -31,6 +32,9 @@ __all__ = [
     "product_property_check",
 ]
 
+# a 256 MB matrix, whose 512 MB canonical .adj text `rotmap solve` reads at a
+# peak of about 1.6 GB of address space
+MAX_ADJ_VERTICES = 16_000
 # eigvalsh holds two float64 copies, 16 n^2 bytes: `rotmap spectrum` peaks at
 # about 1.9 GB of address space at this order
 MAX_SPECTRUM_VERTICES = 10_000
@@ -65,7 +69,9 @@ class AdjacencyMatrix:
         if np.any(np.diag(arr) != 0):
             v = int(np.nonzero(np.diag(arr))[0][0]) + 1
             raise MalformedInputError(f"nonzero diagonal at vertex {v} (self-loops not allowed)")
-        if not np.array_equal(arr, arr.T):
+        # tile by tile, so that each tile and its mirror are read row by row
+        if not all(np.array_equal(arr[i:i + 512, j:j + 512], arr[j:j + 512, i:i + 512].T)
+                   for i in range(0, n, 512) for j in range(i, n, 512)):
             v, w = (int(x) + 1 for x in np.argwhere(arr != arr.T)[0])
             raise MalformedInputError(f"adjacency matrix not symmetric at ({v}, {w})")
         arr.setflags(write=False)
@@ -148,8 +154,9 @@ def rotation_from_adjacency(adj: AdjacencyMatrix) -> RotationMatrix:
 
 def adjacency_from_rotation(rot: RotationMatrix) -> AdjacencyMatrix:
     """Adjacency matrix of the graph a valid rotation map describes."""
-    _require_valid(rot)
     n, d = rot.entries.shape
+    _require_order(n, "adjacency matrix", MAX_ADJ_VERTICES)
+    _require_valid(rot)
     arr = np.zeros((n, n), dtype=np.uint8)
     arr[np.repeat(np.arange(n), d), rot.entries.ravel() - 1] = 1
     return AdjacencyMatrix(arr)
@@ -169,6 +176,7 @@ def cartesian_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMa
     a1.degree()
     a2.degree()
     n1, n2 = a1.order, a2.order
+    _require_order(n1 * n2, "adjacency matrix", MAX_ADJ_VERTICES)
     out = np.zeros((n2 * n1, n2 * n1), dtype=np.uint8)
     blocks = out.reshape(n2, n1, n2, n1)
     copies, cloud = np.arange(n2), np.arange(n1)
@@ -185,7 +193,7 @@ def spectrum(adj: AdjacencyMatrix) -> Spectrum:
     ``tolerance``.  Raises ConvergenceError if LAPACK fails to converge, and
     ParameterError, before any copy, above MAX_SPECTRUM_VERTICES vertices.
     """
-    _require_spectrum_order(adj.order)
+    _require_order(adj.order, "spectrum", MAX_SPECTRUM_VERTICES)
     try:
         values = np.linalg.eigvalsh(adj.matrix.astype(np.float64))[::-1]
     except np.linalg.LinAlgError as exc:
@@ -194,10 +202,9 @@ def spectrum(adj: AdjacencyMatrix) -> Spectrum:
     return Spectrum(values=values, tolerance=tolerance)
 
 
-def _require_spectrum_order(n: int) -> None:
-    if n > MAX_SPECTRUM_VERTICES:
-        raise ParameterError(
-            f"spectrum of {n} vertices is above the limit of {MAX_SPECTRUM_VERTICES}")
+def _require_order(n: int, what: str, limit: int) -> None:
+    if n > limit:
+        raise ParameterError(f"{what} of {n} vertices is above the limit of {limit}")
 
 
 def sum_spectra(s1: Spectrum, s2: Spectrum) -> Spectrum:
@@ -271,7 +278,7 @@ def product_property_check(a1: AdjacencyMatrix, a2: AdjacencyMatrix, *,
     if not spectrum_tol >= 0:  # also rejects NaN
         raise ParameterError(f"spectrum tolerance must be a nonnegative number, got {spectrum_tol}")
     d1, d2 = a1.degree(), a2.degree()
-    _require_spectrum_order(a1.order * a2.order)  # before the product is built
+    _require_order(a1.order * a2.order, "spectrum", MAX_SPECTRUM_VERTICES)  # before the product
     prod = cartesian_adjacency(a1, a2)
     expected_spec = sum_spectra(spectrum(a1), spectrum(a2))
     actual_spec = spectrum(prod)

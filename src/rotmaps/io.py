@@ -9,11 +9,13 @@ parse(format(x)) == x is a hard guarantee:
 * ``.perm``: header ``N d``, then N*d lines ``v i w j`` pairing darts.
 
 Canonical text is written, and read, in one pass over its bytes, with no
-loop over tokens or cells.  A .rot or .perm reader also takes the same
-text with CRLF line ends in that pass, and any other whitespace layout
-(tabs, padded tokens, no final newline) after one pass over its lines
-that re-joins their tokens by single spaces.  Malformed input is read
-row by row, which names the first malformed row.
+loop over tokens or cells.  Other whitespace layouts (tabs, padded tokens,
+no final newline, CRLF in .adj) are read in the same pass after one pass
+over their lines that re-joins the tokens: by single spaces in .rot and
+.perm, with nothing between them in .adj.  Only malformed text is read row
+by row, which names the first malformed row, and so are .rot and .perm
+tokens that only ``int`` reads (``+7``, ``1_0``, non-ASCII digits).  An
+error quotes at most 80 characters of a token or line.
 
 An ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
 line ends is refused before any array is made.
@@ -30,7 +32,7 @@ import math
 import numpy as np
 
 from .core import RotationMatrix, to_full_form, validate
-from .adjacency import AdjacencyMatrix
+from .adjacency import MAX_ADJ_VERTICES, AdjacencyMatrix
 from .exceptions import MalformedInputError, ParameterError
 from .shift import ShiftPermutation, verify_unitary
 
@@ -45,16 +47,17 @@ __all__ = [
     "format_json",
 ]
 
-# a 512 MB canonical text, which `rotmap solve` reads at a peak of about 1.6 GB
-# of address space
-MAX_ADJ_VERTICES = 16_000
+
+def _quote(token: str) -> str:
+    """``repr`` of at most 80 characters of ``token``, for a one-line error message."""
+    return repr(token) if len(token) <= 80 else f"{token[:80]!r}..."
 
 
 def _parse_int(token: str, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise MalformedInputError(f"{what}: {token!r} is not an integer") from None
+        raise MalformedInputError(f"{what}: {_quote(token)} is not an integer") from None
 
 
 def _read_header(text: str, kind: str, form: str) -> tuple[list[str], int, int]:
@@ -64,7 +67,7 @@ def _read_header(text: str, kind: str, form: str) -> tuple[list[str], int, int]:
         raise MalformedInputError(f"empty {kind} file")
     header = lines[0].split()
     if len(header) != 2:
-        raise MalformedInputError(f"header must be '{form}', got {lines[0]!r}")
+        raise MalformedInputError(f"header must be '{form}', got {_quote(lines[0])}")
     n = _parse_int(header[0], "header vertex count")
     d = _parse_int(header[1], "header degree")
     if n < 1 or d < 1:
@@ -144,24 +147,17 @@ def _canonical_table(text: str) -> tuple[tuple[int, int], np.ndarray] | None:
     return (n, d), values[2:].reshape(-1, width)
 
 
-def _read_table(text: str) -> tuple[tuple[int, int], np.ndarray] | None:
-    """The header values and rows of .rot or .perm text in any whitespace layout, or None.
+def _rejoin(text: str, sep: str) -> str:
+    """``text`` with each line's tokens joined by ``sep`` and every line ended by ``\n``.
 
-    Text that is not canonical is made so by re-joining each line's tokens
-    with single spaces and the lines with ``\n``, and read again; None is
-    left for text that is not a table of short digit runs even then.  Each
+    This makes any whitespace layout of well-formed text canonical.  Each
     line is replaced in place, so only one list of lines is held at a time.
     """
-    read = _canonical_table(text)
-    if read is None:
-        lines = text.splitlines()
-        for k, line in enumerate(lines):
-            lines[k] = " ".join(line.split())
-        lines.append("")  # the final newline
-        joined = "\n".join(lines)
-        del lines
-        read = _canonical_table(joined)
-    return read
+    lines = text.splitlines()
+    for k, line in enumerate(lines):
+        lines[k] = sep.join(line.split())
+    lines.append("")  # the final newline
+    return "\n".join(lines)
 
 
 def format_rot(rot: RotationMatrix) -> str:
@@ -200,7 +196,7 @@ def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
     (that is part of the format contract); pass ``require_valid_map=False``
     to get the raw table for diagnostic reporting.
     """
-    read = _read_table(text)
+    read = _canonical_table(text) or _canonical_table(_rejoin(text, " "))
     table = read[1] if read is not None and read[1].shape == read[0] else _rot_rows(text)
     rot = RotationMatrix(table)
     if require_valid_map:
@@ -244,40 +240,39 @@ def _adj_cells(text: str) -> np.ndarray | None:
     return cells if separators_ok and (cells <= 1).all() else None
 
 
-def _adj_rows(text: str) -> np.ndarray:
-    """Cell-by-cell read of any .adj text, naming the first malformed row."""
+def _adj_rows(text: str) -> None:
+    """Raise the error naming the first malformed row of .adj text the byte pass refused."""
     lines = text.splitlines()
     if not lines:
         raise MalformedInputError("empty adjacency file")
     n = len(lines)
-    rows = []
     for number, line in enumerate(lines, start=1):
         parts = line.split(",")
         if len(parts) != n:
             raise MalformedInputError(
-                f"row {number}: expected {n} comma-separated entries, got {len(parts)}"
-            )
-        row = []
-        for token in parts:
-            token = token.strip()
-            if token not in ("0", "1"):
-                raise MalformedInputError(f"row {number}: entry {token!r} is not 0 or 1")
-            row.append(int(token))
-        rows.append(np.array(row, dtype=np.uint8))  # one byte per cell, not a list of ints
-    return np.array(rows)
+                f"row {number}: expected {n} comma-separated entries, got {len(parts)}")
+        bad = next((t for t in map(str.strip, parts) if t not in ("0", "1")), None)
+        if bad is not None:
+            raise MalformedInputError(f"row {number}: entry {_quote(bad)} is not 0 or 1")
 
 
 def parse_adj(text: str) -> AdjacencyMatrix:
     """Strict parse of the .adj format (symmetry and zero diagonal enforced).
 
-    Canonical text is read in one pass over its bytes; any other layout
-    (CRLF, padded tokens, no final newline, malformed input) goes through
-    the cell-by-cell read.  Text longer than that of MAX_ADJ_VERTICES
-    vertices is refused with ParameterError before any array is made.
+    Canonical text is read in one pass over its bytes.  Any other layout
+    (CRLF, padded cells, no final newline) is read in that pass after one
+    pass over its lines that drops their whitespace; only malformed text is
+    then read row by row, which names the first malformed row.  Text longer
+    than that of MAX_ADJ_VERTICES vertices is refused with ParameterError
+    before any array is made.
     """
     _require_adj_size(len(text))
     cells = _adj_cells(text)
-    return AdjacencyMatrix(_adj_rows(text) if cells is None else cells)
+    if cells is None:
+        cells = _adj_cells(_rejoin(text, ""))
+    if cells is None:
+        _adj_rows(text)
+    return AdjacencyMatrix(cells)
 
 
 def format_perm(shift: ShiftPermutation) -> str:
@@ -299,13 +294,13 @@ def _perm_lines(text: str) -> tuple[int, int, np.ndarray]:
     for number, line in enumerate(lines[1:], start=1):
         parts = line.split()
         if len(parts) != 4:
-            raise MalformedInputError(f"line {number}: expected 'v i w j', got {line!r}")
+            raise MalformedInputError(f"line {number}: expected 'v i w j', got {_quote(line)}")
         try:
             v, i, w, j = map(int, parts)
         except ValueError:
             v, i, w, j = (_parse_int(p, f"line {number}") for p in parts)  # raises, naming the token
         if not (1 <= v <= n and 1 <= i <= d and 1 <= w <= n and 1 <= j <= d):
-            raise MalformedInputError(f"line {number}: dart out of range: {line!r}")
+            raise MalformedInputError(f"line {number}: dart out of range: {_quote(line)}")
         src = (v - 1) * d + i
         if images[src - 1]:  # images are at least 1, so a set one marks a dart seen
             raise MalformedInputError(f"line {number}: dart ({v}, {i}) listed twice")
@@ -321,7 +316,7 @@ def parse_perm(text: str) -> ShiftPermutation:
     canonical; any other text, or darts out of range or listed twice, is
     read line by line, which names the first malformed line.
     """
-    read = _read_table(text)
+    read = _canonical_table(text) or _canonical_table(_rejoin(text, " "))
     images = None
     if read is not None:
         (n, d), darts = read

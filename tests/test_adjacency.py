@@ -4,10 +4,12 @@
 import numpy as np
 import pytest
 
+import rotmaps.adjacency
 from conftest import CORPUS, CORPUS_IDS, traced_peak
 from rotmaps import (
     AdjacencyMatrix,
     MalformedInputError,
+    ParameterError,
     RegularityError,
     RotationMatrix,
     adjacency_from_rotation,
@@ -43,6 +45,18 @@ class TestAdjacencyMatrix:
     def test_malformed_rejected(self, bad):
         with pytest.raises(MalformedInputError):
             AdjacencyMatrix(bad)
+
+    # the symmetry check compares 512 x 512 tiles; a cell and its mirror in
+    # one tile, in two tiles, on either side of a tile edge, and the last cell
+    @pytest.mark.parametrize("v,w", [(3, 600), (600, 3), (512, 513), (513, 512), (512, 1025),
+                                     (1100, 1), (1, 1100), (1099, 1100)])
+    def test_first_asymmetric_cell_named_across_tiles(self, v, w):
+        mat = np.zeros((1100, 1100), dtype=np.uint8)
+        mat[v - 1, w - 1] = 1
+        first = min((v, w), (w, v))
+        with pytest.raises(MalformedInputError) as info:
+            AdjacencyMatrix(mat)
+        assert str(info.value) == f"adjacency matrix not symmetric at {first}"
 
     def test_degree_requires_regularity(self):
         with pytest.raises(RegularityError):
@@ -175,3 +189,32 @@ class TestDenseMemory:
     def test_cartesian_adjacency(self):
         c50, c40 = adjacency_from_rotation(cycle(50)), adjacency_from_rotation(cycle(40))
         assert traced_peak(lambda: cartesian_adjacency(c50, c40)) < 4 * 2000**2
+
+
+class TestDenseCeiling:
+    def test_adjacency_from_rotation_past_the_limit_refused_before_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(rotmaps.adjacency, "MAX_ADJ_VERTICES", 1000)
+        rot = cycle(1001)
+
+        def refused():
+            with pytest.raises(ParameterError) as info:
+                adjacency_from_rotation(rot)
+            assert str(info.value) == "adjacency matrix of 1001 vertices is above the limit of 1000"
+
+        assert traced_peak(refused) < 1e5  # the matrix alone is 10^6 bytes
+
+    def test_cartesian_adjacency_past_the_limit_refused_before_the_product(self, monkeypatch):
+        c40, c30 = adjacency_from_rotation(cycle(40)), adjacency_from_rotation(cycle(30))
+        monkeypatch.setattr(rotmaps.adjacency, "MAX_ADJ_VERTICES", 1000)
+
+        def refused():
+            with pytest.raises(ParameterError, match="adjacency matrix of 1200 vertices"):
+                cartesian_adjacency(c40, c30)
+
+        assert traced_peak(refused) < 1e5  # the product alone is 1.44 * 10^6 bytes
+
+    def test_order_at_the_limit_is_built(self, monkeypatch):
+        monkeypatch.setattr(rotmaps.adjacency, "MAX_ADJ_VERTICES", 24)
+        c6, c4 = adjacency_from_rotation(cycle(6)), adjacency_from_rotation(cycle(4))
+        torus = adjacency_from_rotation(cartesian_rotation(cycle(6), cycle(4)))
+        assert cartesian_adjacency(c6, c4) == torus and torus.order == 24

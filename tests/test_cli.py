@@ -180,6 +180,17 @@ class TestVerify:
         assert len(err.splitlines()) == 1 and err.startswith("error: row 1:")
         assert "OverflowError" not in err
 
+    @pytest.mark.parametrize("command,name,text", [
+        ("verify", "token.rot", "2 1\n" + "x" * 10**6 + "\n1\n"),
+        ("solve", "token.adj", "x" * 10**6 + "\n"),
+    ], ids=["rot", "adj"])
+    def test_megabyte_token_is_one_short_error_line(self, tmp_path, capsys, command, name, text):
+        assert main([command, write(tmp_path, name, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: row 1:")
+        assert len(captured.err.encode()) < 200
+
 
 class TestAdjacencyCommands:
     def test_from_adjacency(self, tmp_path, capsys):

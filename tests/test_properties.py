@@ -4,10 +4,11 @@
 :func:`rotmaps.validate` replaced; the reports must agree exactly, in kinds,
 locations, messages and order.  ``reference_full_form`` is the pairing by a
 sort and search of the dart keys that the look-up pairing replaced; the
-return ports must be equal.  Likewise ``parse_adj`` must agree with the
-cell-by-cell read it keeps for non-canonical text, on every text, and
-``parse_rot``/``parse_perm`` with the line-by-line ``reference_parse_rot``
-and ``reference_parse_perm``, in the table or in the error message, and
+return ports must be equal.  Likewise ``parse_adj`` must agree with
+``reference_adj_rows``, the cell-by-cell read it used for non-canonical
+text, on every text, and ``parse_rot``/``parse_perm`` with the
+line-by-line ``reference_parse_rot`` and ``reference_parse_perm``, in the
+table or in the error message, and
 ``format_rot``/``format_perm`` with the ``%``-format writer
 ``reference_format_rows``, byte for byte.
 """
@@ -44,7 +45,6 @@ from rotmaps import (
     verify_unitary,
 )
 from rotmaps.io import (
-    _adj_rows,
     _format_rows,
     format_adj,
     format_perm,
@@ -366,6 +366,29 @@ def adj_texts(draw):
     return text
 
 
+def reference_adj_rows(text: str) -> np.ndarray:
+    """Cell-by-cell read of any .adj text, naming the first malformed row."""
+    lines = text.splitlines()
+    if not lines:
+        raise MalformedInputError("empty adjacency file")
+    n = len(lines)
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        parts = line.split(",")
+        if len(parts) != n:
+            raise MalformedInputError(
+                f"row {number}: expected {n} comma-separated entries, got {len(parts)}"
+            )
+        row = []
+        for token in parts:
+            token = token.strip()
+            if token not in ("0", "1"):
+                raise MalformedInputError(f"row {number}: entry {token!r} is not 0 or 1")
+            row.append(int(token))
+        rows.append(np.array(row, dtype=np.uint8))  # one byte per cell, not a list of ints
+    return np.array(rows)
+
+
 def outcome(parse, text):
     try:
         return parse(text).matrix.tolist()
@@ -376,7 +399,8 @@ def outcome(parse, text):
 @PROPERTY
 @given(adj_texts())
 def test_parse_adj_agrees_with_cell_by_cell_read(text):
-    assert outcome(parse_adj, text) == outcome(lambda t: AdjacencyMatrix(_adj_rows(t)), text)
+    reference = outcome(lambda t: AdjacencyMatrix(reference_adj_rows(t)), text)
+    assert outcome(parse_adj, text) == reference
 
 
 def reference_int(token, what):
