@@ -9,12 +9,10 @@ A map is *consistent* when every vertex receives its d incoming edges under
 d pairwise distinct ports, which for a valid map is the same as every column
 of the matrix form being a permutation of the vertex set.
 
-A table is recognized as a valid map, and its return ports found, by
-look-ups alone (:func:`_pair`): a count of in-degrees, one stable sort of
-the heads and a sort of each row, O(n*d*log d) plus that one sort, in
-O(n*d) memory.  Both the ports and the report are cached on the map, so
-each map is paired once.  Only a table that is not a valid map is searched
-by sorting its dart keys, to name its defects (:func:`_check`).
+One sort of the n*d edge keys recognizes a valid map and finds its return
+ports (:func:`_pair`), in O(n*d*log(n*d)) time and O(n*d) memory; both are
+cached on the map, so each map is paired once.  A table that is not a valid
+map has its row keys sorted too, to name its defects (:func:`_check`).
 
 All vertex ids and ports are 1-indexed, here and in every file format.
 """
@@ -147,47 +145,39 @@ def validate(rot: RotationMatrix) -> ValidationReport:
     as v appears in row w.  It is additionally consistent when every column
     is a permutation of the vertex set, i.e. no vertex repeats in a column.
 
-    A valid map is recognized by the look-ups that pair its darts, in
-    O(n*d*log d) time plus one stable sort of the heads, and its column
-    repeats are counted in one pass; only a table that is not a valid map
-    is searched by sorting its dart keys, in O(n*d*log(n*d)) time.  Memory
-    is O(n*d) either way.  The report is computed once per map and cached
-    on it, beside the return ports.
+    One sort of the n*d edge keys recognizes a valid map and pairs its darts,
+    and its column repeats are counted in one pass; a table that is not one
+    has its row keys sorted too, to name its defects.  Either way this costs
+    O(n*d*log(n*d)) time in O(n*d) memory, once: the report is cached on the map.
     """
     return rot._report
 
 
 def _pair(ent: np.ndarray) -> np.ndarray | None:
-    """Return ports of a valid map, found by look-ups alone; None if the table is not one.
+    """Return ports of a valid map, found by one sort of edge keys; None if the table is not one.
 
-    One stable sort of the heads lists, for each vertex v, its d in-darts
-    with their tails ascending; sorting each row lists v's heads ascending.
-    The table is a valid map exactly when it has no self-loop, every
-    in-degree is d, no sorted row repeats and row v's sorted heads equal the
-    sorted tails entering v.  Then the k-th head w of row v is matched to
-    the k-th in-dart of v, which leaves w, and that dart's port is the
-    return port.
+    Dart v -> w has key 2*(min*n + max) + [v > w], min and max its ends, so
+    one O(n*d*log(n*d)) sort in O(n*d) memory puts the two darts of each edge
+    side by side, lower end first.  The table is a valid map exactly when the
+    sorted keys come in pairs (2k, 2k+1); then the two darts of a pair give
+    each other's ports, and no two keys tie.
     """
     n, d = ent.shape
-    if (ent == np.arange(1, n + 1)[:, None]).any():
+    tails = np.arange(1, n + 1)[:, None]
+    keys = np.minimum(ent, tails)
+    keys *= n
+    keys += np.maximum(ent, tails)
+    keys *= 2
+    keys += ent < tails
+    darts = np.argsort(keys, axis=None)
+    keys = keys.ravel()[darts]
+    if keys.size % 2 or (keys[::2] % 2).any() or (keys[1::2] != keys[::2] + 1).any():
         return None
-    if (np.bincount(ent.ravel(), minlength=n + 1)[1:] != d).any():
-        return None
-    # row v-1 holds the in-darts (w-1)*d + (j-1) of vertex v, w ascending
-    inward = np.argsort(ent.ravel(), kind="stable").reshape(n, d)
-    by_row = np.argsort(ent, axis=1)
-    heads = np.take_along_axis(ent, by_row, axis=1)
-    if (heads[:, 1:] == heads[:, :-1]).any():
-        return None
-    heads -= 1
-    if not np.array_equal(heads, inward // d):
-        return None
-    del heads
-    inward %= d
-    inward += 1
-    ports = np.empty_like(inward)
-    np.put_along_axis(ports, by_row, inward, axis=1)
-    return ports
+    del keys
+    ports = np.empty(n * d, dtype=np.int64)
+    ports[darts[::2]] = darts[1::2] % d + 1
+    ports[darts[1::2]] = darts[::2] % d + 1
+    return ports.reshape(n, d)
 
 
 def _column_repeats(ent: np.ndarray) -> list[Violation]:
@@ -277,9 +267,8 @@ def to_full_form(rot: RotationMatrix) -> np.ndarray:
     The partner of dart (v, i) is (w, j) with w = ``rot.entries[v-1, i-1]``:
     row w lists v at port j.  Requires a valid map; there the partner port
     is unique because v appears exactly once in row w, and the pairing is an
-    involution on all darts.  The ports are found by the same look-ups that
-    validate the map, O(n*d*log d) plus one stable sort of the heads in
-    O(n*d) memory, and are cached on it: this call copies nothing.
+    involution on all darts.  The ports come from the sort of edge keys that
+    validates the map and are cached on it: this call copies nothing.
     """
     _require_valid(rot)
     return rot._ports

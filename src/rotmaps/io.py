@@ -53,6 +53,13 @@ def _quote(token: str) -> str:
     return repr(token) if len(token) <= 80 else f"{token[:80]!r}..."
 
 
+def _digits(x: int) -> str:
+    """``x`` in decimal, cut after 80 digits with ``...``, for a one-line error message."""
+    # divide off low digits first: str() refuses ints of more than 4300 digits
+    head = str(abs(x) // 10 ** max(0, abs(x).bit_length() // 4 - 80))  # 97+ digits if cut
+    return str(x) if len(head) <= 80 else f"{'-' * (x < 0)}{head[:80]}..."
+
+
 def _parse_int(token: str, what: str) -> int:
     try:
         return int(token)
@@ -71,7 +78,7 @@ def _read_header(text: str, kind: str, form: str) -> tuple[list[str], int, int]:
     n = _parse_int(header[0], "header vertex count")
     d = _parse_int(header[1], "header degree")
     if n < 1 or d < 1:
-        raise MalformedInputError(f"header values must be positive, got {n} {d}")
+        raise MalformedInputError(f"header values must be positive, got {_digits(n)} {_digits(d)}")
     return lines, n, d
 
 
@@ -168,19 +175,21 @@ def _rot_rows(text: str) -> np.ndarray:
     """Row-by-row read of any .rot text, naming the first malformed row."""
     lines, n, d = _read_header(text, "rotation", "n d")
     if len(lines) - 1 != n:
-        raise MalformedInputError(f"expected {n} rows after the header, got {len(lines) - 1}")
+        raise MalformedInputError(
+            f"expected {_digits(n)} rows after the header, got {len(lines) - 1}")
     rows = []
     for number, line in enumerate(lines[1:], start=1):
         parts = line.split()
         if len(parts) != d:
-            raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
+            raise MalformedInputError(
+                f"row {number}: expected {_digits(d)} entries, got {len(parts)}")
         try:
             row = list(map(int, parts))
         except ValueError:
             row = [_parse_int(p, f"row {number}") for p in parts]  # raises, naming the token
         if min(row) < -2**63 or max(row) >= 2**63:
             big = next(x for x in row if not -2**63 <= x < 2**63)
-            raise MalformedInputError(f"row {number}: entry {big} does not fit in 64 bits")
+            raise MalformedInputError(f"row {number}: entry {_digits(big)} does not fit in 64 bits")
         rows.append(row)
     return np.array(rows, dtype=np.int64)
 
@@ -289,7 +298,7 @@ def _perm_lines(text: str) -> tuple[int, int, np.ndarray]:
     lines, n, d = _read_header(text, "permutation", "N d")
     size = n * d
     if len(lines) - 1 != size:
-        raise MalformedInputError(f"expected {size} dart lines, got {len(lines) - 1}")
+        raise MalformedInputError(f"expected {_digits(size)} dart lines, got {len(lines) - 1}")
     images = [0] * size
     for number, line in enumerate(lines[1:], start=1):
         parts = line.split()

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adjacency import AdjacencyMatrix, rotation_from_adjacency
-from .core import RotationMatrix
+from .core import RotationMatrix, validate
 from .exceptions import ParameterError, RotmapsError, SearchBudgetExceededError
 
 __all__ = [
@@ -84,13 +84,16 @@ def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET)
     return RotationMatrix(entries)
 
 
-def _check_labels(scan: np.ndarray, entries: np.ndarray) -> None:
-    """Each output row, sorted, is its row-scan row, and each column is a permutation."""
-    n = scan.shape[0]
-    same_arcs = np.array_equal(np.sort(entries, axis=1), scan)
-    in_distinct = (np.sort(entries, axis=0) == np.arange(1, n + 1)[:, None]).all()
-    if not (same_arcs and in_distinct):
-        raise RotmapsError("recolouring did not label every arc exactly once")
+def _check_labels(scan: np.ndarray, entries: np.ndarray) -> RotationMatrix:
+    """The map of ``entries`` if each row, sorted, is its row-scan row and it is consistent.
+
+    :func:`validate` pairs the map by one sort of its n*d edge keys and caches its report.
+    """
+    if np.array_equal(np.sort(entries, axis=1), scan):
+        rot = RotationMatrix(entries)
+        if validate(rot).is_consistent:
+            return rot
+    raise RotmapsError("recolouring did not label every arc exactly once")
 
 
 def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
@@ -144,6 +147,4 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
         out_free[u] &= ~(1 << a)
         in_free[w] &= ~(1 << a)
 
-    entries = np.array(out, dtype=np.int64) + 1
-    _check_labels(scan, entries)
-    return RotationMatrix(entries)
+    return _check_labels(scan, np.array(out, dtype=np.int64) + 1)

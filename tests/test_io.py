@@ -254,6 +254,30 @@ def test_a_megabyte_token_gives_a_short_message(parse, text, start):
     assert message.startswith(start) and "'..." in message and len(message.encode()) < 200
 
 
+LONGEST_INT = "9" * 4300  # the most digits int() reads by default
+CUT = "9" * 80 + "..."
+
+
+@pytest.mark.parametrize("parse,text,start", [
+    (parse_rot, f"2 1\n{LONGEST_INT}\n1\n", f"row 1: entry {CUT} does not fit in 64 bits"),
+    (parse_rot, f"{LONGEST_INT} 1\n2\n1\n", f"expected {CUT} rows after the header, got 2"),
+    (parse_rot, f"2 {LONGEST_INT}\n2\n1\n", f"row 1: expected {CUT} entries, got 1"),
+    (parse_rot, f"-{LONGEST_INT} 1\n", f"header values must be positive, got -{CUT} 1"),
+    (parse_perm, f"{LONGEST_INT} 1\n1 1 2 1\n", f"expected {CUT} dart lines, got 1"),
+    # n*d has 8 600 digits, more than str() converts
+    (parse_perm, f"{LONGEST_INT} {LONGEST_INT}\n1 1 2 1\n", f"expected {CUT} dart lines, got 1"),
+    # up to 80 digits a number is printed in full
+    (parse_rot, f"-{'9' * 80} 1\n", f"header values must be positive, got -{'9' * 80} 1"),
+    (parse_rot, f"-{'9' * 81} 1\n", f"header values must be positive, got -{CUT} 1"),
+], ids=["rot-entry", "rot-rows", "rot-entries", "header", "perm-lines", "perm-lines-product",
+        "80-digits", "81-digits"])
+def test_a_long_number_gives_a_short_message(parse, text, start):
+    with pytest.raises(MalformedInputError) as info:
+        parse(text)
+    message = str(info.value)
+    assert message.startswith(start) and len(message.encode()) < 200
+
+
 def traced_peak(call):
     """Peak bytes tracemalloc sees while ``call()`` runs, whether it returns or raises."""
     tracemalloc.start()

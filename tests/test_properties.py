@@ -3,12 +3,12 @@
 ``reference_validate`` is the row-by-row validity check the vectorized
 :func:`rotmaps.validate` replaced; the reports must agree exactly, in kinds,
 locations, messages and order.  ``reference_full_form`` is the pairing by a
-sort and search of the dart keys that the look-up pairing replaced; the
-return ports must be equal.  Likewise ``parse_adj`` must agree with
-``reference_adj_rows``, the cell-by-cell read it used for non-canonical
-text, on every text, and ``parse_rot``/``parse_perm`` with the
-line-by-line ``reference_parse_rot`` and ``reference_parse_perm``, in the
-table or in the error message, and
+sort and search of the dart keys, independent of the one sort of edge keys
+that pairs the darts in the library; the return ports must be equal.
+Likewise ``parse_adj`` must agree with ``reference_adj_rows``, the
+cell-by-cell read it used for non-canonical text, on every text, and
+``parse_rot``/``parse_perm`` with the line-by-line ``reference_parse_rot``
+and ``reference_parse_perm``, in the table or in the error message, and
 ``format_rot``/``format_perm`` with the ``%``-format writer
 ``reference_format_rows``, byte for byte.
 """
@@ -216,6 +216,9 @@ REFUSED_TABLES = {
     "row-duplicate-of-permutations": [[2, 2], [3, 3], [1, 1]],
     # no row repeats, but vertex 2 is entered twice and vertex 4 never
     "in-degree-not-d": [[2], [1], [2], [3]],
+    # row 1 repeats vertex 3, yet each pair of sorted edge keys differs by 1:
+    # one of the pairs starts on an odd key
+    "row-duplicate-keys-one-apart": [[3, 3], [1, 3], [1, 2]],
 }
 
 
@@ -224,6 +227,25 @@ def test_pairing_refuses_invalid_tables(table):
     from rotmaps import core
 
     assert core._pair(np.array(table)) is None
+    report = validate(RotationMatrix(table))
+    assert not report.is_valid_map
+    assert report == reference_validate(table)
+
+
+@st.composite
+def nearly_valid_tables(draw):
+    """A valid map with one entry changed to another vertex, so never a valid map itself."""
+    table = draw(valid_maps()).entries.copy()
+    n, d = table.shape
+    v, i = draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))
+    w = draw(st.integers(1, n - 1))
+    table[v, i] = w + (w >= table[v, i])
+    return table
+
+
+@PROPERTY
+@given(nearly_valid_tables())
+def test_validate_matches_reference_one_entry_from_a_valid_map(table):
     report = validate(RotationMatrix(table))
     assert not report.is_valid_map
     assert report == reference_validate(table)
