@@ -13,6 +13,7 @@ MAX_SPECTRUM_VERTICES vertices are refused before it is made.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -83,12 +84,20 @@ class AdjacencyMatrix:
 
     def degree(self) -> int:
         """Common row sum; raises RegularityError when rows disagree."""
-        sums = np.count_nonzero(self.matrix.view(bool), axis=1)
-        if not np.all(sums == sums[0]):
-            raise RegularityError(
-                f"graph is not regular: vertex degrees range over {sorted(set(int(s) for s in sums))}"
-            )
-        return int(sums[0])
+        return _common_degree(np.count_nonzero(self.matrix.view(bool), axis=1))
+
+    @functools.cached_property
+    def _scan(self) -> RotationMatrix:
+        # one flat boolean scan, several times faster than np.nonzero on n x n
+        # uint8; the degrees are the gaps between the row starts in its output
+        n = self.order
+        cells = np.flatnonzero(self.matrix.view(bool))
+        d = _common_degree(np.diff(np.searchsorted(cells, np.arange(0, n * n + 1, n))))
+        if d < 1:
+            raise RegularityError("graph has no edges; a rotation map needs degree at least 1")
+        cells %= n
+        cells += 1
+        return RotationMatrix(cells.reshape(n, d))
 
     def edge_count(self) -> int:
         return np.count_nonzero(self.matrix) // 2
@@ -105,6 +114,15 @@ class AdjacencyMatrix:
 
     def __repr__(self):
         return f"AdjacencyMatrix(order={self.order})"
+
+
+def _common_degree(degrees: np.ndarray) -> int:
+    """The one value in ``degrees``; raises RegularityError when they differ."""
+    if not (degrees == degrees[0]).all():
+        raise RegularityError(
+            f"graph is not regular: vertex degrees range over {np.unique(degrees).tolist()}"
+        )
+    return int(degrees[0])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -142,14 +160,16 @@ def rotation_from_adjacency(adj: AdjacencyMatrix) -> RotationMatrix:
     Always yields a valid map, but for connected graphs of degree >= 2 never
     a consistent one: every neighbor of vertex 1 lists vertex 1 first, so
     vertex 1 repeats in column 1 (and likewise the last vertex in the last
-    column).
+    column).  Raises RegularityError when the graph is not regular or has no
+    edges.
+
+    The map is made by one scan of the matrix, which also finds the degrees,
+    and is cached on the matrix as a map's return ports are cached on the
+    map: every call on the same matrix, and so both solvers, returns the
+    same map, and its validation report is cached on it in turn.  It keeps
+    8*n*d bytes beside the n^2 matrix for as long as the matrix lives.
     """
-    d = adj.degree()
-    if d < 1:
-        raise RegularityError("graph has no edges; a rotation map needs degree at least 1")
-    n = adj.order
-    # a flat boolean scan is several times faster than np.nonzero on n x n uint8
-    return RotationMatrix((np.flatnonzero(adj.matrix.view(bool)) % n).reshape(n, d) + 1)
+    return adj._scan
 
 
 def adjacency_from_rotation(rot: RotationMatrix) -> AdjacencyMatrix:

@@ -188,14 +188,14 @@ def _column_repeats(ent: np.ndarray) -> list[Violation]:
     counts = np.bincount(keys.ravel(), minlength=n * d)
     del keys
     (rep,) = np.nonzero(counts > 1)
-    violations = []
-    for key, k in zip(rep.tolist(), counts[rep].tolist()):
-        i, w = divmod(key, n)
-        violations.append(
-            Violation("duplicate-in-column", (i + 1, w + 1),
-                      f"duplicate-in-column at column {i + 1}: vertex {w + 1} appears {k} times")
-        )
-    return violations
+    if not rep.size:  # a consistent map; the stack below costs more than the count
+        return []
+    found = np.stack([rep // n + 1, rep % n + 1, counts[rep]], axis=1)  # column, vertex, count
+    # every message from one %-format of a repeated template, one line each
+    messages = ("duplicate-in-column at column %d: vertex %d appears %d times\n" * len(found)
+                % tuple(found.ravel().tolist())).splitlines()
+    return [Violation("duplicate-in-column", (i, w), message)
+            for (i, w, _), message in zip(found.tolist(), messages)]
 
 
 def _check(ent: np.ndarray) -> ValidationReport:

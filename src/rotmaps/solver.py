@@ -4,7 +4,11 @@ A consistent rotation map is the same thing as assigning each directed arc a
 label in 1..d such that labels are pairwise distinct both leaving and
 entering every vertex.  Both solvers read the arcs off the row-scan table
 (:func:`rotation_from_adjacency`: row v lists the vertices adjacent to v in
-increasing order), and they cross-check each other:
+increasing order).  That table is made by one scan of the matrix and cached
+on it, as a map's return ports are cached on the map, so however many
+solvers run on one matrix it is scanned once; the table keeps 8*n*d bytes
+beside the n^2 matrix while the matrix lives.  The solvers cross-check
+each other:
 
 * an exhaustive backtracking search over arcs in lexicographic order
   (complete but exponential in the worst case, meant for small graphs);
@@ -106,45 +110,49 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
     labelled b (König's argument) swaps a and b on every arc, which frees a
     at w, and the arc takes a.  The path cannot reach u, which has no arc
     labelled a, nor come back to w, which has none labelled b, so it ends.
-    The walk is a loop, with no recursion and no depth limit, and the scan
-    order is fixed, so the output is a deterministic function of the input.
+    Rows are labelled in turn, so each tail on the path comes before u and
+    has its full row, with an arc labelled b: the path ends entering a
+    vertex with no arc labelled a.  The walk is a loop, with no recursion
+    and no depth limit, and the scan order is fixed, so the output is a
+    deterministic function of the input.
     """
     scan = rotation_from_adjacency(adjacency).entries
     n, d = scan.shape
     out = [[-1] * d for _ in range(n)]  # out[u][c]: head of u's arc labelled c
     into = [[-1] * d for _ in range(n)]  # into[w][c]: tail of w's arc labelled c
-    out_free = [(1 << d) - 1] * n  # bitmask of labels not yet leaving each vertex
-    in_free = [(1 << d) - 1] * n   # bitmask of labels not yet entering each vertex
+    in_free = [(1 << d) - 1] * n  # bitmask of labels not yet entering each vertex
 
-    for k, w in enumerate((scan - 1).ravel().tolist()):
-        u = k // d
-        free = out_free[u] & in_free[w]
-        if free:
-            a = (free & -free).bit_length() - 1
-        else:
-            a = (out_free[u] & -out_free[u]).bit_length() - 1
-            b = (in_free[w] & -in_free[w]).bit_length() - 1
-            # swap a and b at each vertex of the path while walking it; inner
-            # vertices keep both labels, the two ends trade one for the other
-            swap = 1 << a | 1 << b
-            in_free[w] ^= swap
-            y = w
-            while True:
-                row = into[y]
-                x = row[a]
-                row[a], row[b] = row[b], row[a]
-                if x < 0:
-                    in_free[y] ^= swap
-                    break
-                row = out[x]
-                y = row[b]
-                row[a], row[b] = row[b], row[a]
-                if y < 0:
-                    out_free[x] ^= swap
-                    break
-        out[u][a] = w
-        into[w][a] = u
-        out_free[u] &= ~(1 << a)
-        in_free[w] &= ~(1 << a)
+    for u, heads in enumerate((scan - 1).tolist()):
+        # rows before u are complete and rows after it empty, and no path
+        # reaches u, so u's free labels and its out-row stay here meanwhile
+        row_u = out[u]
+        free_u = (1 << d) - 1  # labels not yet leaving u
+        for w in heads:
+            free = free_u & in_free[w]
+            if free:
+                a = (free & -free).bit_length() - 1
+            else:
+                a = (free_u & -free_u).bit_length() - 1
+                b = (in_free[w] & -in_free[w]).bit_length() - 1
+                # swap a and b at each vertex of the path while walking it; inner
+                # vertices keep both labels, the two ends trade one for the other
+                swap = 1 << a | 1 << b
+                in_free[w] ^= swap
+                y = w
+                while True:
+                    row = into[y]
+                    x = row[a]
+                    row[a], row[b] = row[b], row[a]
+                    if x < 0:
+                        in_free[y] ^= swap
+                        break
+                    # x comes before u, so its row is complete and has an arc labelled b
+                    row = out[x]
+                    y = row[b]
+                    row[a], row[b] = row[b], row[a]
+            row_u[a] = w
+            into[w][a] = u
+            free_u &= ~(1 << a)
+            in_free[w] &= ~(1 << a)
 
     return _check_labels(scan, np.array(out, dtype=np.int64) + 1)

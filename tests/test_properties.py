@@ -10,7 +10,9 @@ cell-by-cell read it used for non-canonical text, on every text, and
 ``parse_rot``/``parse_perm`` with the line-by-line ``reference_parse_rot``
 and ``reference_parse_perm``, in the table or in the error message, and
 ``format_rot``/``format_perm`` with the ``%``-format writer
-``reference_format_rows``, byte for byte.
+``reference_format_rows``, byte for byte.  ``solve_matching`` must write the
+same ``.rot`` text as ``reference_solve_matching``, the per-arc loop it
+replaced.
 """
 
 import re
@@ -26,6 +28,7 @@ from rotmaps import (
     AdjacencyMatrix,
     InconsistentInputWarning,
     MalformedInputError,
+    RegularityError,
     RotationMatrix,
     ShiftPermutation,
     ValidationReport,
@@ -301,6 +304,100 @@ def test_solve_backtracking_recovers_the_graph(adj):
     assert is_consistent(rot)
     assert adjacency_from_rotation(rot) == adj
     assert solve_backtracking(adj) == rot
+
+
+def reference_solve_matching(adjacency):
+    """The per-arc recolouring loop, one bitmask list per side, verbatim from before
+    the solver kept each row's free labels and out-row in locals."""
+    scan = rotation_from_adjacency(adjacency).entries
+    n, d = scan.shape
+    out = [[-1] * d for _ in range(n)]  # out[u][c]: head of u's arc labelled c
+    into = [[-1] * d for _ in range(n)]  # into[w][c]: tail of w's arc labelled c
+    out_free = [(1 << d) - 1] * n  # bitmask of labels not yet leaving each vertex
+    in_free = [(1 << d) - 1] * n   # bitmask of labels not yet entering each vertex
+
+    for k, w in enumerate((scan - 1).ravel().tolist()):
+        u = k // d
+        free = out_free[u] & in_free[w]
+        if free:
+            a = (free & -free).bit_length() - 1
+        else:
+            a = (out_free[u] & -out_free[u]).bit_length() - 1
+            b = (in_free[w] & -in_free[w]).bit_length() - 1
+            # swap a and b at each vertex of the path while walking it; inner
+            # vertices keep both labels, the two ends trade one for the other
+            swap = 1 << a | 1 << b
+            in_free[w] ^= swap
+            y = w
+            while True:
+                row = into[y]
+                x = row[a]
+                row[a], row[b] = row[b], row[a]
+                if x < 0:
+                    in_free[y] ^= swap
+                    break
+                row = out[x]
+                y = row[b]
+                row[a], row[b] = row[b], row[a]
+                if y < 0:
+                    out_free[x] ^= swap
+                    break
+        out[u][a] = w
+        into[w][a] = u
+        out_free[u] &= ~(1 << a)
+        in_free[w] &= ~(1 << a)
+
+    return RotationMatrix(np.array(out, dtype=np.int64) + 1)
+
+
+def relabelled(rot, seed):
+    """The same graph with its vertices renamed by a seeded random permutation."""
+    name = np.random.default_rng(seed).permutation(rot.num_vertices) + 1
+    table = np.empty_like(rot.entries)
+    table[name - 1] = name[rot.entries - 1]
+    return RotationMatrix(table)
+
+
+@PROPERTY
+@given(regular_graphs())
+def test_solve_matching_matches_reference(adj):
+    assert format_rot(solve_matching(adj)) == format_rot(reference_solve_matching(adj))
+
+
+@pytest.mark.parametrize("rot", [
+    relabelled(cartesian_rotation(cycle(30), cycle(20)), seed=3020),
+    relabelled(hypercube(8), seed=8),
+], ids=["C30xC20", "Q8"])
+def test_solve_matching_matches_reference_on_relabelled_graphs(rot):
+    adj = adjacency_from_rotation(rot)
+    assert format_rot(solve_matching(adj)) == format_rot(reference_solve_matching(adj))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Any simple graph on 2..9 vertices: regular, irregular or edgeless."""
+    n = draw(st.integers(2, 9))
+    upper = np.triu(np.array(draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)),
+                             dtype=np.uint8).reshape(n, n), 1)
+    return AdjacencyMatrix(upper + upper.T)
+
+
+@PROPERTY
+@given(symmetric_matrices())
+def test_row_scan_agrees_with_degree(adj):
+    # the scan takes its degrees from its own output, not from degree()
+    try:
+        d = adj.degree()
+    except RegularityError as exc:
+        with pytest.raises(RegularityError, match=re.escape(str(exc))):
+            rotation_from_adjacency(adj)
+        return
+    if d == 0:
+        with pytest.raises(RegularityError, match="graph has no edges"):
+            rotation_from_adjacency(adj)
+    else:
+        expected = np.nonzero(adj.matrix)[1].reshape(adj.order, d) + 1
+        assert np.array_equal(rotation_from_adjacency(adj).entries, expected)
 
 
 def box_product_edges(a1, a2):

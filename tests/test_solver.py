@@ -169,3 +169,45 @@ class TestAgree:
     def test_budget_below_one_rejected(self):
         with pytest.raises(ParameterError):
             solve_backtracking(petersen_adjacency(), budget=0)
+
+
+PATH3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+EDGELESS = np.zeros((3, 3), dtype=np.int64)
+SCAN_USERS = {
+    "rotation_from_adjacency": rotation_from_adjacency,
+    "solve_matching": solve_matching,
+    "solve_backtracking": solve_backtracking,
+}
+
+
+class TestOneScan:
+    """The row-scan table is made once per matrix and shared by every reader."""
+
+    @pytest.mark.parametrize("call", [AdjacencyMatrix.degree, *SCAN_USERS.values()],
+                             ids=["degree", *SCAN_USERS])
+    def test_irregular_graph_message(self, call):
+        with pytest.raises(RegularityError) as info:
+            call(AdjacencyMatrix(PATH3))
+        assert str(info.value) == "graph is not regular: vertex degrees range over [1, 2]"
+
+    @pytest.mark.parametrize("call", SCAN_USERS.values(), ids=SCAN_USERS)
+    def test_edgeless_graph_message(self, call):
+        with pytest.raises(RegularityError) as info:
+            call(AdjacencyMatrix(EDGELESS))
+        assert str(info.value) == "graph has no edges; a rotation map needs degree at least 1"
+
+    def test_same_map_every_call(self):
+        adj = petersen_adjacency()
+        assert rotation_from_adjacency(adj) is rotation_from_adjacency(adj)
+
+    @pytest.mark.parametrize("first", SCAN_USERS.values(), ids=SCAN_USERS)
+    def test_one_flat_scan_per_matrix(self, first, monkeypatch):
+        adj = petersen_adjacency()
+        scans = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: scans.append(1) or flatnonzero(a))
+        first(adj)
+        assert len(scans) == 1
+        for call in SCAN_USERS.values():
+            call(adj)
+        assert len(scans) == 1
