@@ -17,7 +17,12 @@ from . import families
 from . import io as formats
 from .adjacency import product_property_check, rotation_from_adjacency, spectrum
 from .core import validate
-from .exceptions import ParameterError, RotmapsError, SearchBudgetExceededError
+from .exceptions import (
+    MalformedInputError,
+    ParameterError,
+    RotmapsError,
+    SearchBudgetExceededError,
+)
 from .product import cartesian_rotation
 from .shift import build_shift
 from .solver import DEFAULT_BUDGET, solve_backtracking, solve_matching
@@ -32,13 +37,20 @@ def _emit(output: Path | None, text: str) -> None:
         output.write_text(text)
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def _load_rot(path: Path, **kwargs):
-    return formats.parse_rot(path.read_text(), **kwargs)
+    return formats.parse_rot(_read_text(path), **kwargs)
 
 
 def _load_adj(path: Path):
     formats._require_adj_size(path.stat().st_size)  # before the text is read
-    return formats.parse_adj(path.read_text())
+    return formats.parse_adj(_read_text(path))
 
 
 _GP = (families.generalized_petersen, ("n", "s"), "generalized Petersen graphs need both n and s")

@@ -348,3 +348,33 @@ class TestShiftAndExport:
         c3 = write(tmp_path, "c3.rot", format_rot(cycle(3)))
         assert main(["export", c3, "--format", "json"]) == 0
         assert capsys.readouterr().out == '{"n":3,"d":2,"rot":[[2,3],[3,1],[1,2]]}\n'
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command", [
+        ["verify", "{bad}"],
+        ["product", "{bad}", "{good}"],
+        ["product", "{good}", "{bad}"],
+        ["shift", "{bad}"],
+        ["export", "{bad}", "--format", "json"],
+        ["from-adjacency", "{bad}"],
+        ["solve", "{bad}"],
+        ["spectrum", "{bad}"],
+        ["spectrum", "{good_adj}", "{bad}"],
+    ], ids=lambda argv: "-".join(a.strip("{}") for a in argv if not a.startswith("-")))
+    def test_byte_ff_is_one_error_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff")
+        paths = {"bad": str(bad), "good": write(tmp_path, "c5.rot", C5_FILE),
+                 "good_adj": write(tmp_path, "k3.adj", "0,1,1\n1,0,1\n1,1,0\n")}
+        assert main([a.format(**paths) for a in command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {bad}: byte 0 is not UTF-8 text"]
+        assert "UnicodeDecodeError" not in captured.err
+
+    def test_message_names_the_byte_offset(self, tmp_path, capsys):
+        path = tmp_path / "c5.rot"
+        path.write_bytes(C5_FILE.encode().replace(b"3 1", b"3 \xe9"))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: byte 10 is not UTF-8 text\n"

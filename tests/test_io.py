@@ -330,10 +330,12 @@ class TestCanonicalReadMemory:
 
 
 class TestCanonicalWriteMemory:
-    # Each bound sits above the peak measured on C400 x C250 (3.4 times the
-    # text for format_rot, 5.6 times for format_perm) and below the 8.7 and
+    # Each bound sits above the peak measured on C400 x C250 (3.1 times the
+    # text for format_rot, 5.2 times for format_perm) and below the 8.7 and
     # 11.9 times that a %-format over a tuple of Python ints takes, so a
-    # return to one fails.
+    # return to one fails.  Both peaks come while np.take gathers the slots:
+    # the slot buffer beside the index as intp, which take copies from the
+    # read-only table of ids or from the uint32 table of darts.
     @pytest.mark.parametrize("kind,parse,write,bound", [
         ("rot", parse_rot, format_rot, 4.5),
         ("perm", parse_perm, format_perm, 7.0),

@@ -771,6 +771,28 @@ def test_format_rows_matches_reference_up_to_int64_max(rows):
     assert first_difference(_format_rows("h", table), reference_format_rows("h", table)) is None
 
 
+# The writer formats the values 0..top once when top is below the number of
+# cells, and else the cells themselves; each value's slot grows from 8 to 16
+# bytes past 7 digits and to 24 past 15.
+@pytest.mark.parametrize("top,cells", [
+    (9, 10), (9, 9), (9, 8), (10, 11), (10, 10), (10, 9),
+    (99, 100), (99, 99), (99, 98), (100, 101), (100, 100), (100, 99),
+])
+@pytest.mark.parametrize("rows", ["one row", "one column"])
+def test_format_rows_matches_reference_where_top_meets_the_cell_count(top, cells, rows):
+    table = np.random.default_rng(top * cells).integers(1, top + 1, cells)
+    table[cells // 2] = top
+    table = table.reshape((1, -1) if rows == "one row" else (-1, 1))
+    assert first_difference(_format_rows("h", table), reference_format_rows("h", table)) is None
+
+
+@pytest.mark.parametrize("top", [9, 10, 10**7 - 1, 10**7, 10**15 - 1, 10**15, 2**63 - 1])
+def test_format_rows_matches_reference_where_a_slot_grows(top):
+    values = [1, 9, 10, 10**7 - 1, 10**7, 10**15 - 1, 10**15, top - 1, top]
+    table = np.array([v for v in values if v <= top] * 4, dtype=np.int64).reshape(4, -1)
+    assert first_difference(_format_rows("h", table), reference_format_rows("h", table)) is None
+
+
 @pytest.mark.parametrize("rot", [
     cycle(9), cycle(10), cycle(99), cycle(100), cycle(999), cycle(1000), cycle(10**5),
     RotationMatrix([[2], [1]]), hypercube(12),
