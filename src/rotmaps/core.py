@@ -41,9 +41,12 @@ class RotationMatrix:
     """Matrix form of a rotation map.
 
     ``entries[v-1, i-1] == w`` says the i-th edge leaving vertex v enters
-    vertex w.  The table is copied and made read-only at construction.
-    Construction only enforces shape and value range; use :func:`validate`
-    for the structural checks (self-loops, row duplicates, symmetry).
+    vertex w.  The table is copied and made read-only at construction,
+    unless it is an int64 array that owns its data and is read-only
+    already: that one is adopted as it is, and must not be made writable
+    again.  Construction only enforces shape and value range; use
+    :func:`validate` for the structural checks (self-loops, row
+    duplicates, symmetry).
     """
 
     entries: np.ndarray
@@ -61,7 +64,8 @@ class RotationMatrix:
             raise MalformedInputError("a rotation map needs degree at least 1")
         if not np.issubdtype(arr.dtype, np.integer):
             raise MalformedInputError("rotation table entries must be integers")
-        arr = arr.astype(np.int64)
+        if arr.dtype != np.int64 or arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.astype(np.int64)
         lo, hi = int(arr.min()), int(arr.max())
         if lo < 1 or hi > n:
             bad = lo if lo < 1 else hi

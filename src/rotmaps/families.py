@@ -40,8 +40,16 @@ def cycle(n: int) -> RotationMatrix:
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
     _require_darts(2 * n, f"cycle of {n} vertices")
-    v = np.arange(1, n + 1, dtype=np.int64)
-    return RotationMatrix(np.column_stack([v % n + 1, (v - 2) % n + 1]))
+    table = np.empty((n, 2), dtype=np.int64)  # filled in place and adopted by the map
+    succ, pred = table.T
+    pred.fill(1)
+    np.cumsum(pred, out=pred)  # the vertex ids 1..n
+    np.add(pred, 1, out=succ)
+    succ[-1] = 1
+    pred -= 1
+    pred[0] = n
+    table.setflags(write=False)
+    return RotationMatrix(table)
 
 
 def complete(n: int) -> RotationMatrix:
@@ -113,5 +121,8 @@ def hypercube(m: int) -> RotationMatrix:
             f"hypercube dimension {m} exceeds the limit of {MAX_HYPERCUBE_DIMENSION}"
         )
     v = np.arange(2**m, dtype=np.int64)[:, None]
-    return RotationMatrix((v ^ (1 << np.arange(m, dtype=np.int64))) + 1)
+    table = v ^ (1 << np.arange(m, dtype=np.int64))  # a fresh table, adopted by the map
+    table += 1
+    table.setflags(write=False)
+    return RotationMatrix(table)
 

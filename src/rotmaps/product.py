@@ -54,10 +54,13 @@ def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> Rotation
             InconsistentInputWarning,
             stacklevel=2,
         )
-    # axes (cloud, in-cloud vertex, port), filled in place by the two rules
+    # filled in place by the two rules through a view with axes (cloud,
+    # in-cloud vertex, port), then adopted by the map
     dg = inner.degree
-    table = np.empty((vh, vg, dg + outer.degree), dtype=np.int64)
-    np.add(inner.entries[None], vg * np.arange(vh)[:, None, None], out=table[..., :dg])
+    table = np.empty((vg * vh, dg + outer.degree), dtype=np.int64)
+    clouds = table.reshape(vh, vg, -1)
+    np.add(inner.entries[None], vg * np.arange(vh)[:, None, None], out=clouds[..., :dg])
     np.add(np.arange(1, vg + 1)[None, :, None], vg * (outer.entries[:, None, :] - 1),
-           out=table[..., dg:])
-    return RotationMatrix(table.reshape(vg * vh, dg + outer.degree))
+           out=clouds[..., dg:])
+    table.setflags(write=False)
+    return RotationMatrix(table)

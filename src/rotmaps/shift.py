@@ -28,7 +28,10 @@ __all__ = [
 class ShiftPermutation:
     """Candidate permutation on the N*d darts of a degree-d graph on N vertices.
 
-    ``images[k-1]`` is the image of dart index k.  Construction only checks
+    ``images[k-1]`` is the image of dart index k.  The images are copied
+    and made read-only at construction, unless they are an int64 array
+    that owns its data and is read-only already: that one is adopted as it
+    is, and must not be made writable again.  Construction only checks
     shapes and value ranges; bijectivity and involutivity are checked by
     :func:`verify_unitary`, so defective tables can be represented and
     rejected there.
@@ -49,7 +52,8 @@ class ShiftPermutation:
             raise MalformedInputError(f"need {size} dart images, got shape {imgs.shape}")
         if not np.issubdtype(imgs.dtype, np.integer):
             raise MalformedInputError("dart images must be integers")
-        imgs = imgs.astype(np.int64)
+        if imgs.dtype != np.int64 or imgs.flags.writeable or not imgs.flags.owndata:
+            imgs = imgs.astype(np.int64)
         if imgs.min() < 1 or imgs.max() > size:
             raise MalformedInputError(f"dart image outside 1..{size}")
         imgs.setflags(write=False)
@@ -74,7 +78,10 @@ def build_shift(rot: RotationMatrix) -> ShiftPermutation:
             InconsistentInputWarning,
             stacklevel=2,
         )
-    images = ((rot.entries - 1) * rot.degree + to_full_form(rot)).ravel()
+    images = rot.entries.ravel() - 1  # a fresh array, filled in place and adopted
+    images *= rot.degree
+    images += to_full_form(rot).ravel()
+    images.setflags(write=False)
     return ShiftPermutation(num_vertices=rot.num_vertices, degree=rot.degree, images=images)
 
 

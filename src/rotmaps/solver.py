@@ -112,15 +112,18 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
     labelled a, nor come back to w, which has none labelled b, so it ends.
     Rows are labelled in turn, so each tail on the path comes before u and
     has its full row, with an arc labelled b: the path ends entering a
-    vertex with no arc labelled a.  The walk is a loop, with no recursion
-    and no depth limit, and the scan order is fixed, so the output is a
-    deterministic function of the input.
+    vertex with no arc labelled a.  The walk is a loop, with no recursion;
+    it visits each of the n out-sides and n in-sides at most once, so it
+    crosses at most 2n arcs; should the invariants above ever fail, a
+    walk past that raises RotmapsError instead of spinning.  The scan
+    order is fixed, so the output is a deterministic function of the input.
     """
     scan = rotation_from_adjacency(adjacency).entries
     n, d = scan.shape
     out = [[-1] * d for _ in range(n)]  # out[u][c]: head of u's arc labelled c
     into = [[-1] * d for _ in range(n)]  # into[w][c]: tail of w's arc labelled c
     in_free = [(1 << d) - 1] * n  # bitmask of labels not yet entering each vertex
+    limit = 2 * n  # arcs one alternating path can cross
 
     for u, heads in enumerate((scan - 1).tolist()):
         # rows before u are complete and rows after it empty, and no path
@@ -139,6 +142,7 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
                 swap = 1 << a | 1 << b
                 in_free[w] ^= swap
                 y = w
+                crossed = 0  # arcs; a path meets each of the 2n sides at most once
                 while True:
                     row = into[y]
                     x = row[a]
@@ -146,6 +150,10 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
                     if x < 0:
                         in_free[y] ^= swap
                         break
+                    crossed += 2
+                    if crossed > limit:
+                        raise RotmapsError(f"alternating path from vertex {w + 1} crossed "
+                                           f"more than {limit} arcs")
                     # x comes before u, so its row is complete and has an arc labelled b
                     row = out[x]
                     y = row[b]

@@ -46,6 +46,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             rot.entries[0, 0] = 3
 
+    def test_read_only_owned_int64_table_adopted(self):
+        src = np.array(TRIANGLE, dtype=np.int64)
+        src.setflags(write=False)
+        assert RotationMatrix(src).entries is src
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a,  # writable
+        lambda a: a.astype(np.int32),  # another dtype
+        lambda a: a[::-1][::-1],  # a view, which owns no data
+    ], ids=["writable", "int32", "view"])
+    def test_other_tables_copied(self, make):
+        src = np.array(TRIANGLE, dtype=np.int64)
+        table = make(src)
+        table.setflags(write=table is src)
+        rot = RotationMatrix(table)
+        assert rot.entries is not table and rot.entries.dtype == np.int64
+        src[0, 0] = 3
+        assert rot.entries.tolist() == TRIANGLE
+
     def test_dimensions(self):
         rot = RotationMatrix(TRIANGLE)
         assert rot.num_vertices == 3

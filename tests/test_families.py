@@ -141,6 +141,17 @@ class TestParameterDomains:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_cycle_fills_one_table_in_place(self):
+        # its columns are filled in place and the map adopts the table
+        tracemalloc.start()
+        try:
+            rot = cycle(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rot.entries.nbytes
+        assert rot.entries[[0, -1]].tolist() == [[2, 10**6], [1, 10**6 - 1]]
+
     def test_gp_largest_step_allowed(self):
         assert validate(generalized_petersen(9, 4)).is_consistent
 

@@ -9,7 +9,8 @@ Likewise ``parse_adj`` must agree with ``reference_adj_rows``, the
 cell-by-cell read it used for non-canonical text, on every text, and
 ``parse_rot``/``parse_perm`` with the line-by-line ``reference_parse_rot``
 and ``reference_parse_perm``, in the table or in the error message, and
-``format_rot``/``format_perm`` with the ``%``-format writer
+with their own line readers at the byte pass's limits of token length and
+range, and ``format_rot``/``format_perm`` with the ``%``-format writer
 ``reference_format_rows``, byte for byte.  ``solve_matching`` must write the
 same ``.rot`` text as ``reference_solve_matching``, the per-arc loop it
 replaced.
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotmaps.io
 from conftest import random_regular_adjacency
 from rotmaps import (
     AdjacencyMatrix,
@@ -704,6 +706,65 @@ def test_rot_and_perm_readers_agree_with_line_by_line_reference(mutation, data):
         (parse_perm, reference_parse_perm),
     ]:
         assert read_outcome(parse, text) == read_outcome(reference, text)
+
+
+def assert_byte_pass_agrees(monkeypatch, text, kind=None):
+    """Both readers give the outcome on ``text`` that their line readers alone give.
+
+    When ``kind`` names the format of ``text``, its reader must also read it
+    in the byte pass alone, without the line readers.
+    """
+    readers = [parse_rot, lambda t: parse_rot(t, require_valid_map=False), parse_perm]
+    outcomes = [read_outcome(parse, text) for parse in readers]
+    with monkeypatch.context() as patched:
+        patched.setattr(rotmaps.io, "_canonical_table", lambda data: None)
+        assert [read_outcome(parse, text) for parse in readers] == outcomes
+    if kind is not None:
+        def unused(text):
+            raise AssertionError("the line reader ran")
+        with monkeypatch.context() as patched:
+            patched.setattr(rotmaps.io, "_rot_rows", unused)
+            patched.setattr(rotmaps.io, "_perm_lines", unused)
+            assert read_outcome({"rot": parse_rot, "perm": parse_perm}[kind], text) == \
+                outcomes[0 if kind == "rot" else 2]
+
+
+C5_TEXTS = {"rot": format_rot(cycle(5)), "perm": format_perm(build_shift(cycle(5)))}
+
+
+# The byte pass builds values in uint32 up to 9 digits and in uint64 up to
+# 18, and leaves longer tokens to the line readers; its uint8 token lengths
+# wrap past 255 (a token of 274 digits has length 18 modulo 256).
+@pytest.mark.parametrize("digits", [9, 10, 18, 19, 255, 256, 274])
+@pytest.mark.parametrize("value", ["zero-padded", "large"])
+@pytest.mark.parametrize("kind", ["rot", "perm"])
+def test_readers_agree_at_token_lengths(monkeypatch, kind, value, digits):
+    text = C5_TEXTS[kind]
+    first = re.search(r"(?<=\n)\d+", text)  # the first token after the header
+    token = first[0].zfill(digits) if value == "zero-padded" else "1" + first[0].zfill(digits - 1)
+    in_byte_pass = kind if value == "zero-padded" and digits <= 18 else None
+    assert_byte_pass_agrees(monkeypatch, text[:first.start()] + token + text[first.end():],
+                            in_byte_pass)
+
+
+@pytest.mark.parametrize("kind", ["rot", "perm"])
+def test_readers_agree_on_a_zero_padded_header(monkeypatch, kind):
+    text = C5_TEXTS[kind]
+    header, body = text.split("\n", 1)
+    assert_byte_pass_agrees(monkeypatch, " ".join(t.zfill(12) for t in header.split()) + "\n" + body,
+                            kind)
+
+
+# A 0 wraps above every bound in the unsigned range test of parse_perm.
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("value", ["0", "bound + 1", "n + 1"])
+def test_perm_readers_agree_on_a_dart_out_of_range(monkeypatch, column, value):
+    n, d = 5, 2
+    bound = (n, d, n, d)[column]
+    header, first, rest = C5_TEXTS["perm"].split("\n", 2)
+    dart = first.split()
+    dart[column] = str({"0": 0, "bound + 1": bound + 1, "n + 1": n + 1}[value])
+    assert_byte_pass_agrees(monkeypatch, "\n".join([header, " ".join(dart), rest]))
 
 
 def reference_format_rows(header, table):

@@ -1,5 +1,7 @@
 """Dart shift permutations: involution and the unitarity check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rotmaps import (
     cartesian_rotation,
     cycle,
     solve_matching,
+    validate,
     verify_unitary,
 )
 
@@ -61,6 +64,19 @@ class TestBuildShift:
         assert verify_unitary(shift)
         assert is_graphical(shift)
 
+    def test_builds_one_table_in_place(self):
+        # the images are filled in place and adopted by the permutation;
+        # the return ports are cached on the validated map
+        rot = cartesian_rotation(cycle(400), cycle(250))
+        validate(rot)
+        tracemalloc.start()
+        try:
+            shift = build_shift(rot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * shift.images.nbytes
+
     def test_cubic_60_vertex_graph_has_180_darts(self):
         adj = random_regular_adjacency(60, 3, seed=6003)
         shift = build_shift(solve_matching(adj))
@@ -88,6 +104,18 @@ class TestShiftPermutation:
     def test_out_of_range_images_rejected(self):
         with pytest.raises(MalformedInputError):
             ShiftPermutation(num_vertices=2, degree=1, images=np.array([3, 1]))
+
+    def test_writable_images_copied(self):
+        images = np.array([2, 1, 4, 3])
+        shift = ShiftPermutation(num_vertices=2, degree=2, images=images)
+        images[0] = 1
+        assert shift.images.tolist() == [2, 1, 4, 3]
+        assert not shift.images.flags.writeable
+
+    def test_read_only_owned_int64_images_adopted(self):
+        images = np.array([2, 1, 4, 3], dtype=np.int64)
+        images.setflags(write=False)
+        assert ShiftPermutation(num_vertices=2, degree=2, images=images).images is images
 
     def test_wrong_length_rejected(self):
         with pytest.raises(MalformedInputError):

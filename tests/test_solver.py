@@ -1,8 +1,11 @@
 """Labeling solvers: the exhaustive backtracker and the matching constructor."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import rotmaps.solver
 from conftest import CORPUS, random_regular_adjacency
 from rotmaps import (
     AdjacencyMatrix,
@@ -105,6 +108,26 @@ class TestMatching:
         out = solve_matching(adj)
         assert is_consistent(out)
         assert adjacency_from_rotation(out) == adj
+
+
+class ShortRows:
+    """A row-scan table whose rows hold 2 heads each though it reports degree 3.
+
+    Rows before the current one are then not complete, which breaks the
+    invariant that ends every alternating path; this table makes one cycle.
+    """
+
+    shape = (5, 3)
+
+    def __sub__(self, one):
+        return np.array([[3, 5], [1, 3], [4, 3], [4, 5], [5, 4]]) - one
+
+
+def test_matching_walk_past_2n_arcs_raises(monkeypatch):
+    monkeypatch.setattr(rotmaps.solver, "rotation_from_adjacency",
+                        lambda adj: SimpleNamespace(entries=ShortRows()))
+    with pytest.raises(RotmapsError, match="alternating path from vertex 4 crossed more than 10 arcs"):
+        solve_matching(adjacency_from_rotation(cycle(5)))
 
 
 class TestLabelCheck:
