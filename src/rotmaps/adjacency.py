@@ -4,10 +4,11 @@ Covers the round trip between rotation maps and dense adjacency matrices,
 the Kronecker-sum Cartesian product, spectra via LAPACK ``eigvalsh``, and
 the structural checks on products (vertex count, regularity, edge count,
 spectrum additivity).  Matrices are dense, one byte per cell: n^2 bytes,
-built in one array with no wider temporaries, and a matrix of more than
-MAX_ADJ_VERTICES vertices is refused before it is built.  A spectrum takes
-O(n^3) time and a float64 copy of 8 n^2 bytes, so graphs of more than
-MAX_SPECTRUM_VERTICES vertices are refused before it is made.
+built in one array with no wider temporaries and adopted without a copy by
+AdjacencyMatrix, whose 0/1 check is one max() over the cells.  A matrix of
+more than MAX_ADJ_VERTICES vertices is refused before it is built.  A
+spectrum takes O(n^3) time and a float64 copy of 8 n^2 bytes, so graphs of
+more than MAX_SPECTRUM_VERTICES vertices are refused before it is made.
 """
 
 from __future__ import annotations
@@ -45,10 +46,14 @@ MAX_SPECTRUM_VERTICES = 10_000
 class AdjacencyMatrix:
     """Dense symmetric 0/1 adjacency matrix of a simple graph on >= 2 vertices.
 
-    ``matrix`` is a read-only uint8 copy of the input, one byte per cell.
-    Boolean and integer input of any width is accepted; each cell must be 0
-    or 1 before it is narrowed.  Symmetry and a zero diagonal are enforced
-    at construction; regularity is checked on demand by :meth:`degree`.
+    ``matrix`` is read-only uint8, one byte per cell.  Boolean and integer
+    input of any width is accepted; each cell must be 0 or 1, which one
+    max() over the input read as unsigned checks, with no n x n temporary.
+    The input is then copied and made read-only, unless it is a uint8
+    C-contiguous array that owns its data and is read-only already: that
+    one is adopted as it is, and must not be made writable again.
+    Symmetry and a zero diagonal are enforced at construction; regularity
+    is checked on demand by :meth:`degree`.
     """
 
     matrix: np.ndarray
@@ -64,9 +69,11 @@ class AdjacencyMatrix:
             raise MalformedInputError("adjacency entries must be integers")
         if arr.dtype.kind == "i":  # read as unsigned, a negative cell is above 1
             arr = arr.view(arr.dtype.str.replace("i", "u"))
-        if not (arr <= 1).all():
+        if arr.max() > 1:
             raise MalformedInputError("adjacency entries must be 0 or 1")
-        arr = arr.astype(np.uint8, order="C")
+        if (arr.dtype != np.uint8 or arr.flags.writeable or not arr.flags.c_contiguous
+                or not arr.flags.owndata):
+            arr = arr.astype(np.uint8, order="C")
         if np.any(np.diag(arr) != 0):
             v = int(np.nonzero(np.diag(arr))[0][0]) + 1
             raise MalformedInputError(f"nonzero diagonal at vertex {v} (self-loops not allowed)")
@@ -179,6 +186,7 @@ def adjacency_from_rotation(rot: RotationMatrix) -> AdjacencyMatrix:
     _require_valid(rot)
     arr = np.zeros((n, n), dtype=np.uint8)
     arr[np.repeat(np.arange(n), d), rot.entries.ravel() - 1] = 1
+    arr.setflags(write=False)  # the matrix adopts the fresh array
     return AdjacencyMatrix(arr)
 
 
@@ -202,6 +210,7 @@ def cartesian_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMa
     copies, cloud = np.arange(n2), np.arange(n1)
     blocks[copies, :, copies, :] = a1.matrix  # I (x) A1: each copy of the first factor
     blocks[:, cloud, :, cloud] = a2.matrix  # A2 (x) I: vertex j of copy i to vertex j of copy i'
+    out.setflags(write=False)  # the matrix adopts the fresh array
     return AdjacencyMatrix(out)
 
 

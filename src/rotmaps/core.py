@@ -19,8 +19,10 @@ All vertex ids and ports are 1-indexed, here and in every file format.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 
@@ -110,8 +112,7 @@ class RotationMatrix:
         return f"RotationMatrix(num_vertices={self.num_vertices}, degree={self.degree})"
 
 
-@dataclasses.dataclass(frozen=True)
-class Violation:
+class Violation(collections.namedtuple("Violation", ["kind", "location", "message"])):
     """One structural defect, located with 1-indexed coordinates.
 
     kind / location pairs:
@@ -119,11 +120,13 @@ class Violation:
       ``duplicate-in-row``     (row, vertex)
       ``asymmetric-incidence`` (row, vertex)
       ``duplicate-in-column``  (column, vertex)
+
+    A named tuple, so that a report of many defects is built at the cost of
+    tuples: it is immutable and hashable, unpacks into its three fields,
+    and equals a plain tuple of them.  ``str`` gives the message.
     """
 
-    kind: str
-    location: tuple[int, int]
-    message: str
+    __slots__ = ()
 
     def __str__(self):
         return self.message
@@ -198,8 +201,9 @@ def _column_repeats(ent: np.ndarray) -> list[Violation]:
     # every message from one %-format of a repeated template, one line each
     messages = ("duplicate-in-column at column %d: vertex %d appears %d times\n" * len(found)
                 % tuple(found.ravel().tolist())).splitlines()
-    return [Violation("duplicate-in-column", (i, w), message)
-            for (i, w, _), message in zip(found.tolist(), messages)]
+    columns, vertices = found[:, 0].tolist(), found[:, 1].tolist()
+    return list(map(Violation, itertools.repeat("duplicate-in-column"), zip(columns, vertices),
+                    messages))
 
 
 def _check(ent: np.ndarray) -> ValidationReport:

@@ -62,7 +62,11 @@ def complete(n: int) -> RotationMatrix:
     _require_darts(n * (n - 1), f"complete graph on {n} vertices")
     v = np.arange(1, n + 1, dtype=np.int64)[:, None]
     i = np.arange(1, n, dtype=np.int64)[None, :]
-    return RotationMatrix((v - 1 + i) % n + 1)
+    table = v - 1 + i  # filled in place and adopted by the map
+    table %= n
+    table += 1
+    table.setflags(write=False)
+    return RotationMatrix(table)
 
 
 def complete_bipartite(n: int) -> RotationMatrix:
@@ -78,7 +82,9 @@ def complete_bipartite(n: int) -> RotationMatrix:
     k = np.arange(1, n + 1, dtype=np.int64)[None, :]
     left = n + (v + k - 2) % n + 1
     right = (v + k - 2) % n + 1
-    return RotationMatrix(np.vstack([left, right]))
+    table = np.vstack([left, right])
+    table.setflags(write=False)  # a fresh table, adopted by the map
+    return RotationMatrix(table)
 
 
 def generalized_petersen(n: int, s: int) -> RotationMatrix:
@@ -98,12 +104,16 @@ def generalized_petersen(n: int, s: int) -> RotationMatrix:
     j = np.arange(1, n + 1, dtype=np.int64)
     outer = np.column_stack([j % n + 1, n + j, (j - 2) % n + 1])
     inner = np.column_stack([n + (j - 1 + s) % n + 1, j, n + (j - 1 - s) % n + 1])
-    return RotationMatrix(np.vstack([outer, inner]))
+    table = np.vstack([outer, inner])
+    table.setflags(write=False)  # a fresh table, adopted by the map
+    return RotationMatrix(table)
 
 
 def k2() -> RotationMatrix:
     """The single edge on two vertices: the unique 1-regular map."""
-    return RotationMatrix(np.array([[2], [1]], dtype=np.int64))
+    table = np.array([[2], [1]], dtype=np.int64)
+    table.setflags(write=False)  # a fresh table, adopted by the map
+    return RotationMatrix(table)
 
 
 def hypercube(m: int) -> RotationMatrix:

@@ -85,6 +85,7 @@ def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET)
 
     entries = np.empty_like(scan)
     entries[np.arange(n).repeat(d), np.array(labels) - 1] = scan.ravel()
+    entries.setflags(write=False)  # the map adopts the fresh table
     return RotationMatrix(entries)
 
 
@@ -131,16 +132,17 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
         row_u = out[u]
         free_u = (1 << d) - 1  # labels not yet leaving u
         for w in heads:
-            free = free_u & in_free[w]
-            if free:
-                a = (free & -free).bit_length() - 1
-            else:
-                a = (free_u & -free_u).bit_length() - 1
-                b = (in_free[w] & -in_free[w]).bit_length() - 1
+            in_w = in_free[w]  # a path from w never comes back: only its swap changes this
+            free = free_u & in_w or free_u  # the labels free at both ends, else at u
+            bit = free & -free  # the label taken, as a bit
+            a = bit.bit_length() - 1
+            if not in_w & bit:
+                b_bit = in_w & -in_w
+                b = b_bit.bit_length() - 1
                 # swap a and b at each vertex of the path while walking it; inner
                 # vertices keep both labels, the two ends trade one for the other
-                swap = 1 << a | 1 << b
-                in_free[w] ^= swap
+                swap = bit | b_bit
+                in_w ^= swap
                 y = w
                 crossed = 0  # arcs; a path meets each of the 2n sides at most once
                 while True:
@@ -160,7 +162,10 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
                     row[a], row[b] = row[b], row[a]
             row_u[a] = w
             into[w][a] = u
-            free_u &= ~(1 << a)
-            in_free[w] &= ~(1 << a)
+            free_u ^= bit
+            in_free[w] = in_w ^ bit
 
-    return _check_labels(scan, np.array(out, dtype=np.int64) + 1)
+    entries = np.array(out, dtype=np.int64)
+    entries += 1
+    entries.setflags(write=False)  # the map adopts the fresh table
+    return _check_labels(scan, entries)

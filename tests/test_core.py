@@ -1,5 +1,6 @@
 """Core rotation-map checks: validation, consistency, the return-port table."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from rotmaps import (
     InvalidRotationMapError,
     MalformedInputError,
     RotationMatrix,
+    Violation,
     build_shift,
     cartesian_rotation,
     complete,
@@ -138,6 +140,37 @@ class TestValidate:
         # degree 1 (a perfect matching) is allowed and consistent
         report = validate(RotationMatrix([[2], [1], [4], [3]]))
         assert report.is_valid_map and report.is_consistent
+
+
+class TestViolation:
+    LOOP = Violation("self-loop", (2, 1), "self-loop at row 2, column 1")
+
+    def test_fields_by_position_and_keyword(self):
+        v = Violation(kind="self-loop", location=(2, 1), message="self-loop at row 2, column 1")
+        assert v == self.LOOP
+        assert v.kind == "self-loop" and v.location == (2, 1)
+        assert v.message == "self-loop at row 2, column 1"
+
+    def test_str_is_the_message_and_repr_names_the_fields(self):
+        assert str(self.LOOP) == "self-loop at row 2, column 1"
+        assert repr(self.LOOP) == ("Violation(kind='self-loop', location=(2, 1), "
+                                   "message='self-loop at row 2, column 1')")
+
+    @pytest.mark.parametrize("name", ["kind", "location", "message", "extra"])
+    def test_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.LOOP, name, None)
+
+    def test_hash_and_pickle(self):
+        copy = Violation(*self.LOOP)
+        assert copy == self.LOOP and hash(copy) == hash(self.LOOP)
+        assert pickle.loads(pickle.dumps(self.LOOP)) == self.LOOP
+        assert type(pickle.loads(pickle.dumps(self.LOOP))) is Violation
+
+    def test_a_tuple_of_its_fields(self):
+        kind, location, message = self.LOOP
+        assert kind == "self-loop"
+        assert self.LOOP == ("self-loop", (2, 1), "self-loop at row 2, column 1")
 
 
 class TestConsistency:

@@ -152,6 +152,20 @@ class TestParameterDomains:
         assert peak < 1.5 * rot.entries.nbytes
         assert rot.entries[[0, -1]].tolist() == [[2, 10**6], [1, 10**6 - 1]]
 
+    @pytest.mark.parametrize("make,bound", [
+        (lambda: complete(1000), 1.25),  # filled in place: 1.02 measured, 2.00 copied
+        (lambda: complete_bipartite(700), 2.5),  # two halves stacked: 2.00, 3.00 copied
+        (lambda: generalized_petersen(10**5, 3), 2.5),  # 2.17, 3.17 copied
+    ], ids=["complete", "complete_bipartite", "generalized_petersen"])
+    def test_map_adopts_the_fresh_table(self, make, bound):
+        tracemalloc.start()
+        try:
+            rot = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * rot.entries.nbytes
+
     def test_gp_largest_step_allowed(self):
         assert validate(generalized_petersen(9, 4)).is_consistent
 

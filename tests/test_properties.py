@@ -11,9 +11,11 @@ cell-by-cell read it used for non-canonical text, on every text, and
 and ``reference_parse_perm``, in the table or in the error message, and
 with their own line readers at the byte pass's limits of token length and
 range, and ``format_rot``/``format_perm`` with the ``%``-format writer
-``reference_format_rows``, byte for byte.  ``solve_matching`` must write the
-same ``.rot`` text as ``reference_solve_matching``, the per-arc loop it
-replaced.
+``reference_format_rows``, byte for byte.  Canonical and CRLF text must be
+read without the row and line readers, and canonical text without a
+re-join of its lines, since those fallbacks would return the same result.
+``solve_matching`` must write the same ``.rot`` text as
+``reference_solve_matching``, the per-arc loop it replaced.
 """
 
 import re
@@ -451,17 +453,24 @@ def test_shift_is_an_involutive_permutation(rot):
     assert np.array_equal(images[images - 1], np.arange(1, images.size + 1))
 
 
+def fallback_ran(*args):
+    raise AssertionError("a fallback reader ran")
+
+
 @PROPERTY
 @given(regular_graphs())
 def test_adj_round_trip(adj):
     text = format_adj(adj)
-    assert parse_adj(text) == adj
-    assert format_adj(parse_adj(text)) == text
+    with pytest.MonkeyPatch.context() as patched:  # canonical text is read in the byte pass
+        patched.setattr(rotmaps.io, "_rejoin", fallback_ran)
+        patched.setattr(rotmaps.io, "_adj_rows", fallback_ran)
+        assert parse_adj(text) == adj
+        assert format_adj(parse_adj(text)) == text
 
 
 @st.composite
 def adj_texts(draw):
-    """Canonical .adj text of a random 0/1 matrix, as is or in another layout.
+    """The layout and .adj text of a random 0/1 matrix, canonical or in another layout.
 
     The matrix is symmetric with a zero diagonal or, at random, any 0/1
     matrix; the layouts are CRLF, padded tokens, no final newline and one
@@ -475,16 +484,16 @@ def adj_texts(draw):
     rows = [",".join(map(str, row)) for row in cells]
     layout = draw(st.sampled_from(["canonical", "crlf", "padded", "no-final-newline", "corrupt"]))
     if layout == "crlf":
-        return "\r\n".join(rows) + "\r\n"
+        return layout, "\r\n".join(rows) + "\r\n"
     if layout == "padded":
-        return "".join(" " + row.replace(",", " ,\t") + " \n" for row in rows)
+        return layout, "".join(" " + row.replace(",", " ,\t") + " \n" for row in rows)
     text = "\n".join(rows) + ("\n" if layout != "no-final-newline" else "")
     if layout == "corrupt":
         at = draw(st.integers(0, len(text)))
         byte = draw(st.sampled_from(["", "0", "1", "2", ",", "\n", " ", "\r", "/", "a", "\u00e9"]))
         cut = draw(st.sampled_from([0, 1]))
         text = text[:at] + byte + text[at + cut:]
-    return text
+    return layout, text
 
 
 def reference_adj_rows(text: str) -> np.ndarray:
@@ -519,7 +528,28 @@ def outcome(parse, text):
 
 @PROPERTY
 @given(adj_texts())
-def test_parse_adj_agrees_with_cell_by_cell_read(text):
+def test_parse_adj_agrees_with_cell_by_cell_read(layout_and_text):
+    layout, text = layout_and_text
+    reference = outcome(lambda t: AdjacencyMatrix(reference_adj_rows(t)), text)
+    assert outcome(parse_adj, text) == reference
+    if layout in ("canonical", "crlf"):  # read in the byte pass, CRLF after one re-join
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(rotmaps.io, "_adj_rows", fallback_ran)
+            if layout == "canonical":
+                patched.setattr(rotmaps.io, "_rejoin", fallback_ran)
+            assert outcome(parse_adj, text) == reference
+
+
+@PROPERTY
+@given(regular_graphs(), st.data())
+def test_parse_adj_agrees_with_cell_by_cell_read_on_one_changed_byte(adj, data):
+    # the byte pass reads each cell and its separator as one uint16 pair, so
+    # any change to either byte must send the text on to the slower readers
+    text = format_adj(adj)
+    at = data.draw(st.integers(0, len(text) - 1))
+    byte = data.draw(st.sampled_from(["0", "1", "2", "/", ",", "\n", "\r", " "])
+                     | st.integers(0x80, 0xFF).map(chr))
+    text = text[:at] + byte + text[at + 1:]
     reference = outcome(lambda t: AdjacencyMatrix(reference_adj_rows(t)), text)
     assert outcome(parse_adj, text) == reference
 
@@ -603,9 +633,10 @@ MUTATIONS = [
 
 @st.composite
 def table_texts(draw, mutation):
-    """The .rot text of a random table or the .perm text of a valid map, then one mutation.
+    """The kind, "rot" or "perm", and the text of a random table or valid map after one mutation.
 
-    The table or map is small, or large enough for vertex ids of several
+    The text is the .rot text of a table or the .perm text of a map.  The
+    table or map is small, or large enough for vertex ids of several
     digits: a seeded table of up to 300 rows, or the product of a valid map
     and a cycle.  The mutations are what a hand-edited or foreign file can
     carry: CRLF or a lone CR, other whitespace in one place or in the
@@ -615,7 +646,8 @@ def table_texts(draw, mutation):
     digits, changed values and stray bytes.
     """
     wide = draw(st.booleans())
-    if draw(st.booleans()):
+    kind = "rot" if draw(st.booleans()) else "perm"
+    if kind == "rot":
         if wide:
             n, d = draw(st.integers(10, 300)), draw(st.integers(1, 12))
             table = np.random.default_rng(draw(st.integers(0, 2**16))).integers(1, n + 1, (n, d))
@@ -629,6 +661,11 @@ def table_texts(draw, mutation):
             if wide:
                 rot = cartesian_rotation(rot, cycle(draw(st.integers(3, 60))))
             text = format_perm(build_shift(rot))
+    return kind, mutated(draw, mutation, text)
+
+
+def mutated(draw, mutation, text):
+    """``text`` after ``mutation``."""
     tokens = [m.start() for m in re.finditer(r"\d+", text)]
     at = tokens[draw(st.integers(0, len(tokens) - 1))]
     spaces = [k for k, c in enumerate(text) if c == " "]
@@ -698,7 +735,7 @@ def read_outcome(parse, text):
 @settings(PROPERTY, max_examples=40)
 @given(data=st.data())
 def test_rot_and_perm_readers_agree_with_line_by_line_reference(mutation, data):
-    text = data.draw(table_texts(mutation))
+    kind, text = data.draw(table_texts(mutation))
     for parse, reference in [
         (parse_rot, reference_parse_rot),
         (lambda t: parse_rot(t, require_valid_map=False),
@@ -706,6 +743,13 @@ def test_rot_and_perm_readers_agree_with_line_by_line_reference(mutation, data):
         (parse_perm, reference_parse_perm),
     ]:
         assert read_outcome(parse, text) == read_outcome(reference, text)
+    if mutation in ("canonical", "crlf"):  # the text's own reader takes it in the byte pass
+        own = {"rot": lambda t: parse_rot(t, require_valid_map=False), "perm": parse_perm}[kind]
+        expected = read_outcome(own, text)
+        with pytest.MonkeyPatch.context() as patched:
+            for name in ("_rot_rows", "_perm_lines", "_rejoin"):
+                patched.setattr(rotmaps.io, name, fallback_ran)
+            assert read_outcome(own, text) == expected
 
 
 def assert_byte_pass_agrees(monkeypatch, text, kind=None):
@@ -720,11 +764,9 @@ def assert_byte_pass_agrees(monkeypatch, text, kind=None):
         patched.setattr(rotmaps.io, "_canonical_table", lambda data: None)
         assert [read_outcome(parse, text) for parse in readers] == outcomes
     if kind is not None:
-        def unused(text):
-            raise AssertionError("the line reader ran")
         with monkeypatch.context() as patched:
-            patched.setattr(rotmaps.io, "_rot_rows", unused)
-            patched.setattr(rotmaps.io, "_perm_lines", unused)
+            patched.setattr(rotmaps.io, "_rot_rows", fallback_ran)
+            patched.setattr(rotmaps.io, "_perm_lines", fallback_ran)
             assert read_outcome({"rot": parse_rot, "perm": parse_perm}[kind], text) == \
                 outcomes[0 if kind == "rot" else 2]
 
