@@ -17,6 +17,9 @@ each other:
   alternating-path recolouring: an arc with no label free at both ends
   swaps two labels along one alternating path first.  Each of the n·d arcs
   costs O(d) plus the length of its path, deterministic, with no recursion.
+  Its tables are label-major, one list per label and side, so a solve
+  holds O(d) table lists rather than O(n) and the tables alone do not
+  trigger a run of the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -118,18 +121,21 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
     crosses at most 2n arcs; should the invariants above ever fail, a
     walk past that raises RotmapsError instead of spinning.  The scan
     order is fixed, so the output is a deterministic function of the input.
+
+    The tables are label-major: ``out[c][u]`` is the head of u's arc
+    labelled c and ``into[c][w]`` its tail, 2d lists in all, so no
+    collection runs for them.  A walk fetches the four lists of its two
+    labels once, and each step swaps two cells in two of them.
     """
     scan = rotation_from_adjacency(adjacency).entries
     n, d = scan.shape
-    out = [[-1] * d for _ in range(n)]  # out[u][c]: head of u's arc labelled c
-    into = [[-1] * d for _ in range(n)]  # into[w][c]: tail of w's arc labelled c
+    out = [[-1] * n for _ in range(d)]  # out[c][u]: head of u's arc labelled c
+    into = [[-1] * n for _ in range(d)]  # into[c][w]: tail of w's arc labelled c
     in_free = [(1 << d) - 1] * n  # bitmask of labels not yet entering each vertex
-    limit = 2 * n  # arcs one alternating path can cross
 
     for u, heads in enumerate((scan - 1).tolist()):
         # rows before u are complete and rows after it empty, and no path
-        # reaches u, so u's free labels and its out-row stay here meanwhile
-        row_u = out[u]
+        # reaches u, so u's free labels and its out-arcs stay here meanwhile
         free_u = (1 << d) - 1  # labels not yet leaving u
         for w in heads:
             in_w = in_free[w]  # a path from w never comes back: only its swap changes this
@@ -143,29 +149,26 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
                 # vertices keep both labels, the two ends trade one for the other
                 swap = bit | b_bit
                 in_w ^= swap
+                in_a, in_b, out_a, out_b = into[a], into[b], out[a], out[b]
                 y = w
-                crossed = 0  # arcs; a path meets each of the 2n sides at most once
-                while True:
-                    row = into[y]
-                    x = row[a]
-                    row[a], row[b] = row[b], row[a]
+                for _ in range(n):  # a path meets each of the n in-sides at most once
+                    x = in_a[y]
+                    in_a[y], in_b[y] = in_b[y], x
                     if x < 0:
                         in_free[y] ^= swap
                         break
-                    crossed += 2
-                    if crossed > limit:
-                        raise RotmapsError(f"alternating path from vertex {w + 1} crossed "
-                                           f"more than {limit} arcs")
                     # x comes before u, so its row is complete and has an arc labelled b
-                    row = out[x]
-                    y = row[b]
-                    row[a], row[b] = row[b], row[a]
-            row_u[a] = w
-            into[w][a] = u
+                    y = out_b[x]
+                    out_a[x], out_b[x] = y, out_a[x]
+                else:
+                    raise RotmapsError(f"alternating path from vertex {w + 1} crossed "
+                                       f"more than {2 * n} arcs")
+            out[a][u] = w
+            into[a][w] = u
             free_u ^= bit
             in_free[w] = in_w ^ bit
 
-    entries = np.array(out, dtype=np.int64)
+    entries = np.array(out, dtype=np.int64).T.copy()  # label-major to one row per vertex
     entries += 1
     entries.setflags(write=False)  # the map adopts the fresh table
     return _check_labels(scan, entries)

@@ -41,7 +41,10 @@ from rotmaps import (
     build_shift,
     cartesian_adjacency,
     cartesian_rotation,
+    complete,
+    complete_bipartite,
     cycle,
+    generalized_petersen,
     hypercube,
     is_consistent,
     rotation_from_adjacency,
@@ -371,7 +374,11 @@ def test_solve_matching_matches_reference(adj):
 @pytest.mark.parametrize("rot", [
     relabelled(cartesian_rotation(cycle(30), cycle(20)), seed=3020),
     relabelled(hypercube(8), seed=8),
-], ids=["C30xC20", "Q8"])
+    relabelled(complete(40), seed=40),
+    complete_bipartite(12),
+    relabelled(cartesian_rotation(cartesian_rotation(complete(3), cycle(3)), cycle(50)), seed=450),
+    relabelled(generalized_petersen(50, 3), seed=503),
+], ids=["C30xC20", "Q8", "K40", "K12,12", "K3xC3xC50", "GP50,3"])
 def test_solve_matching_matches_reference_on_relabelled_graphs(rot):
     adj = adjacency_from_rotation(rot)
     assert format_rot(solve_matching(adj)) == format_rot(reference_solve_matching(adj))

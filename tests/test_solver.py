@@ -1,5 +1,6 @@
 """Labeling solvers: the exhaustive backtracker and the matching constructor."""
 
+import gc
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,6 +109,27 @@ class TestMatching:
         out = solve_matching(adj)
         assert is_consistent(out)
         assert adjacency_from_rotation(out) == adj
+
+
+@pytest.mark.skipif(not gc.isenabled() or gc.get_threshold()[0] == 0,
+                    reason="the cyclic collector is off")
+def test_matching_runs_no_collection():
+    # the label-major tables are 2d lists and the rows are read as n more,
+    # so half a gen-0 threshold of vertices stays below it
+    adj = random_regular_adjacency(gc.get_threshold()[0] // 2, 4, seed=700)
+    runs = []
+
+    def count(phase, info):
+        if phase == "start":
+            runs.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        solve_matching(adj)
+    finally:
+        gc.callbacks.remove(count)
+    assert runs == []
 
 
 class ShortRows:
