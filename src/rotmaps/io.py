@@ -8,35 +8,28 @@ parse(format(x)) == x is a hard guarantee:
 * ``.adj``:  n rows of n comma-separated 0/1 digits.
 * ``.perm``: header ``N d``, then N*d lines ``v i w j`` pairing darts.
 
-Canonical .rot and .perm text is written by table look-up: the text of
-each id is formatted once, by repeated division by 10 over the ids 0..max
-rather than over the n*d cells, and then gathered per cell.  On a 2-vCPU
-VM this took format_perm of Q12 from 9.3 to 4.9 ms, and of C400 x C250
-from 115 to 56 ms, against the writer before it, which divided every
-cell.  Canonical text is read in one pass over its bytes, with no loop
-over tokens or cells.  In .rot and .perm text one uint8 comparison finds
-the token ends and each value is built by Horner's rule in uint32 (uint64
+Every .rot and .perm token is a run of 1 to 18 ASCII digits; leading
+zeros are read, and any other token (``+7``, ``-1``, ``1_0``, a non-ASCII
+digit, 19 digits or more) is malformed.  Canonical .rot and .perm text is
+written by table look-up: the text of each id is formatted once, by
+repeated division by 10 over the ids 0..max rather than over the n*d
+cells, and then gathered per cell.  It is read in one pass over its
+bytes, with no loop over tokens or cells: one uint8 comparison finds the
+token ends and each value is built by Horner's rule in uint32 (uint64
 past 9 digits) from one uint8 gather per digit place; besides the index
 of token ends, each array of one element per token is uint8 or uint32 and
 made once, and the tables read are adopted by the map or permutation
-without a copy.  On a 2-vCPU VM this took parse_perm of C100 x C100 from
-11.4 to 7.7 ms and of C400 x C250 from 126 to 90 ms (tracemalloc peak 51
-to 30 MB), and parse_rot of C400 x C250 from 72 to 48 ms, against int64
-temporaries and copied tables.  In .adj text each cell and the separator
-after it are read as one little-endian uint16: one subtraction of "0,"
-over the whole text, and a fix-up of the last column for "\n", take every
-well-formed pair to 0 or 1, one max() checks them all, and the cells are
-narrowed to uint8 once and adopted by the matrix.  On a 2-vCPU VM this
-took parse_adj of nine random regular graphs of 250 to 750 vertices from
-5.7 to 3.0 ms in all, against a strided uint8 subtraction and two strided
-comparisons, at the same tracemalloc peak of 4 bytes per cell.  Other
-whitespace layouts (tabs, padded tokens, no final newline, CRLF in .adj)
-are read in the same pass after one pass over their lines that re-joins
-the tokens: by single spaces in .rot and .perm, with nothing between them
-in .adj.  Only malformed text is read row by row, which names the first
-malformed row, and so are .rot and .perm tokens that only ``int`` reads
-(``+7``, ``1_0``, non-ASCII digits).  An error quotes at most 80
-characters of a token or line.
+without a copy.  In .adj text each cell and the separator after it are
+read as one little-endian uint16: one subtraction of "0," over the whole
+text, and a fix-up of the last column for "\n", take every well-formed
+pair to 0 or 1, one max() checks them all, and the cells are narrowed to
+uint8 once and adopted by the matrix.  Other whitespace layouts (tabs,
+padded tokens, no final newline, CRLF in .adj) are read in the same pass
+after one pass over their lines that re-joins the tokens: by single
+spaces in .rot and .perm, with nothing between them in .adj.  The byte
+pass is the only reader that builds a table; text it refuses is read
+row by row only to name the first malformed row, and an error quotes at
+most 80 characters of a token or line.
 
 An ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
 line ends is refused before any array is made.
@@ -49,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+from typing import NoReturn
 
 import numpy as np
 
@@ -74,18 +68,11 @@ def _quote(token: str) -> str:
     return repr(token) if len(token) <= 80 else f"{token[:80]!r}..."
 
 
-def _digits(x: int) -> str:
-    """``x`` in decimal, cut after 80 digits with ``...``, for a one-line error message."""
-    # divide off low digits first: str() refuses ints of more than 4300 digits
-    head = str(abs(x) // 10 ** max(0, abs(x).bit_length() // 4 - 80))  # 97+ digits if cut
-    return str(x) if len(head) <= 80 else f"{'-' * (x < 0)}{head[:80]}..."
-
-
-def _parse_int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise MalformedInputError(f"{what}: {_quote(token)} is not an integer") from None
+def _number(token: str, what: str) -> int:
+    """``token`` as an int, when it is a run of 1 to 18 ASCII digits, as every token is."""
+    if not (token.isascii() and token.isdigit() and len(token) <= 18):
+        raise MalformedInputError(f"{what}: {_quote(token)} is not a run of 1 to 18 ASCII digits")
+    return int(token)
 
 
 def _read_header(text: str, kind: str, form: str) -> tuple[list[str], int, int]:
@@ -96,10 +83,10 @@ def _read_header(text: str, kind: str, form: str) -> tuple[list[str], int, int]:
     header = lines[0].split()
     if len(header) != 2:
         raise MalformedInputError(f"header must be '{form}', got {_quote(lines[0])}")
-    n = _parse_int(header[0], "header vertex count")
-    d = _parse_int(header[1], "header degree")
+    n = _number(header[0], "header vertex count")
+    d = _number(header[1], "header degree")
     if n < 1 or d < 1:
-        raise MalformedInputError(f"header values must be positive, got {_digits(n)} {_digits(d)}")
+        raise MalformedInputError(f"header values must be positive, got {n} {d}")
     return lines, n, d
 
 
@@ -211,9 +198,11 @@ def _canonical_table(data: bytes) -> tuple[tuple[int, int], np.ndarray] | None:
 def _read_table(text: str) -> tuple[tuple[int, int], np.ndarray] | None:
     """The byte pass over .rot or .perm text, or else over the text with its lines re-joined.
 
-    Each text is encoded as UTF-8, which never fails and puts every
-    non-ASCII character above '9', where the byte pass refuses it.  The
-    re-joined text is freed once encoded, before its byte pass runs.
+    Both texts are encoded the same way, as UTF-8 with ``surrogatepass``.
+    That encodes every code point, a lone surrogate too, so it cannot
+    raise, and it puts every non-ASCII character above '9', where the byte
+    pass refuses it.  The re-joined text is freed once encoded, before its
+    byte pass runs.
     """
     read = _canonical_table(text.encode("utf-8", "surrogatepass"))
     if read is None:
@@ -238,45 +227,36 @@ def format_rot(rot: RotationMatrix) -> str:
     return _format_rows(f"{rot.num_vertices} {rot.degree}", rot.entries)
 
 
-def _rot_rows(text: str) -> np.ndarray:
-    """Row-by-row read of any .rot text, naming the first malformed row."""
+def _rot_rows(text: str) -> NoReturn:
+    """Raise the error naming the first malformed row of .rot text the byte pass refused."""
     lines, n, d = _read_header(text, "rotation", "n d")
     if len(lines) - 1 != n:
-        raise MalformedInputError(
-            f"expected {_digits(n)} rows after the header, got {len(lines) - 1}")
-    rows = []
+        raise MalformedInputError(f"expected {n} rows after the header, got {len(lines) - 1}")
     for number, line in enumerate(lines[1:], start=1):
         parts = line.split()
         if len(parts) != d:
-            raise MalformedInputError(
-                f"row {number}: expected {_digits(d)} entries, got {len(parts)}")
-        try:
-            row = list(map(int, parts))
-        except ValueError:
-            row = [_parse_int(p, f"row {number}") for p in parts]  # raises, naming the token
-        if min(row) < -2**63 or max(row) >= 2**63:
-            big = next(x for x in row if not -2**63 <= x < 2**63)
-            raise MalformedInputError(f"row {number}: entry {_digits(big)} does not fit in 64 bits")
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+            raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
+        what = f"row {number}"
+        for part in parts:
+            _number(part, what)
+    raise MalformedInputError("malformed rotation file")
 
 
 def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
     """Strict parse of the .rot format.
 
-    Text whose tokens are runs of at most 18 ASCII digits is read in one
-    pass over its bytes, after one pass over its lines when it is not
-    canonical (tabs, padded tokens, no final newline); any other text, and
-    a table of the wrong shape, is read row by row, which names the first
-    malformed row.  By default the parsed table must also be a valid map
-    (that is part of the format contract); pass ``require_valid_map=False``
-    to get the raw table for diagnostic reporting.
+    The text is read in one pass over its bytes, after one pass over its
+    lines when it is not canonical (tabs, padded tokens, no final newline).
+    Text that pass refuses, or a table of the wrong shape, is malformed,
+    and the error names the first malformed row.  By default the parsed
+    table must also be a valid map (that is part of the format contract);
+    pass ``require_valid_map=False`` to get the raw table for diagnostic
+    reporting.
     """
     read = _read_table(text)
-    if read is not None and read[1].shape == read[0]:
-        table = read[1].astype(np.int64)
-    else:
-        table = _rot_rows(text)
+    if read is None or read[1].shape != read[0]:
+        _rot_rows(text)
+    table = read[1].astype(np.int64)
     table.setflags(write=False)  # the map adopts the fresh table
     rot = RotationMatrix(table)
     if require_valid_map:
@@ -330,7 +310,7 @@ def _adj_cells(text: str) -> np.ndarray | None:
     return cells
 
 
-def _adj_rows(text: str) -> None:
+def _adj_rows(text: str) -> NoReturn:
     """Raise the error naming the first malformed row of .adj text the byte pass refused."""
     lines = text.splitlines()
     if not lines:
@@ -344,6 +324,7 @@ def _adj_rows(text: str) -> None:
         bad = next((t for t in map(str.strip, parts) if t not in ("0", "1")), None)
         if bad is not None:
             raise MalformedInputError(f"row {number}: entry {_quote(bad)} is not 0 or 1")
+    raise MalformedInputError("malformed adjacency file")
 
 
 def parse_adj(text: str) -> AdjacencyMatrix:
@@ -374,37 +355,34 @@ def format_perm(shift: ShiftPermutation) -> str:
     return _format_rows(f"{shift.num_vertices} {d}", darts)
 
 
-def _perm_lines(text: str) -> tuple[int, int, np.ndarray]:
-    """Line-by-line read of any .perm text, naming the first malformed line."""
+def _perm_lines(text: str) -> NoReturn:
+    """Raise the error naming the first malformed line of .perm text the byte pass refused."""
     lines, n, d = _read_header(text, "permutation", "N d")
-    size = n * d
-    if len(lines) - 1 != size:
-        raise MalformedInputError(f"expected {_digits(size)} dart lines, got {len(lines) - 1}")
-    images = [0] * size
+    if len(lines) - 1 != n * d:
+        raise MalformedInputError(f"expected {n * d} dart lines, got {len(lines) - 1}")
+    seen = bytearray(n * d)
     for number, line in enumerate(lines[1:], start=1):
         parts = line.split()
         if len(parts) != 4:
             raise MalformedInputError(f"line {number}: expected 'v i w j', got {_quote(line)}")
-        try:
-            v, i, w, j = map(int, parts)
-        except ValueError:
-            v, i, w, j = (_parse_int(p, f"line {number}") for p in parts)  # raises, naming the token
+        what = f"line {number}"
+        v, i, w, j = (_number(p, what) for p in parts)
         if not (1 <= v <= n and 1 <= i <= d and 1 <= w <= n and 1 <= j <= d):
             raise MalformedInputError(f"line {number}: dart out of range: {_quote(line)}")
-        src = (v - 1) * d + i
-        if images[src - 1]:  # images are at least 1, so a set one marks a dart seen
+        src = (v - 1) * d + i - 1
+        if seen[src]:
             raise MalformedInputError(f"line {number}: dart ({v}, {i}) listed twice")
-        images[src - 1] = (w - 1) * d + j
-    return n, d, np.array(images, dtype=np.int64)
+        seen[src] = 1
+    raise MalformedInputError("malformed permutation file")
 
 
 def parse_perm(text: str) -> ShiftPermutation:
     """Strict parse of the .perm format; the pairs must form an involutive permutation.
 
-    Text whose tokens are runs of at most 18 ASCII digits is read in one
-    pass over its bytes, after one pass over its lines when it is not
-    canonical; any other text, or darts out of range or listed twice, is
-    read line by line, which names the first malformed line.
+    The text is read in one pass over its bytes, after one pass over its
+    lines when it is not canonical.  Text that pass refuses, or darts out
+    of range or listed twice, is malformed, and the error names the first
+    malformed line.
     """
     read = _read_table(text)
     images = None
@@ -425,7 +403,7 @@ def parse_perm(text: str) -> ShiftPermutation:
             del src, dst
     # one line per dart, so an unset image means some dart was listed twice
     if images is None or not images.all():
-        n, d, images = _perm_lines(text)
+        _perm_lines(text)
     images.setflags(write=False)  # the permutation adopts the fresh images
     shift = ShiftPermutation(num_vertices=n, degree=d, images=images)
     if not verify_unitary(shift):

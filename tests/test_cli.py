@@ -1,5 +1,7 @@
 """Command-line behavior: flag grammar, exit codes, and byte-exact outputs."""
 
+import random
+import re
 import tracemalloc
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 import rotmaps.adjacency
 from rotmaps import (
     adjacency_from_rotation,
+    build_shift,
+    cartesian_rotation,
     complete,
     complete_bipartite,
     cycle,
@@ -17,7 +21,7 @@ from rotmaps import (
 )
 from rotmaps.cli import main
 from rotmaps.families import MAX_DARTS, MAX_HYPERCUBE_DIMENSION
-from rotmaps.io import MAX_ADJ_VERTICES, format_adj, format_rot, parse_rot
+from rotmaps.io import MAX_ADJ_VERTICES, format_adj, format_perm, format_rot, parse_rot
 
 C5_FILE = "5 2\n2 5\n3 1\n4 2\n5 3\n1 4\n"
 
@@ -378,3 +382,57 @@ class TestNonUtf8Input:
         path.write_bytes(C5_FILE.encode().replace(b"3 1", b"3 \xe9"))
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: byte 10 is not UTF-8 text\n"
+
+
+C5_BY_C4 = cartesian_rotation(cycle(5), cycle(4))
+CONTRACT_FILES = {
+    "rot": format_rot(C5_BY_C4),
+    "adj": format_adj(adjacency_from_rotation(C5_BY_C4)),
+    "perm": format_perm(build_shift(C5_BY_C4)),
+}
+# what a hand-edited or foreign file may carry: digits, separators, CR, tab,
+# signs, an underscore, a letter, NUL, and two bytes that are not UTF-8 alone
+EDIT_BYTES = b"0123456789 ,\n\r\t+-_x\x00\xe9\xff"
+# every subcommand that reads a file, with the mutated file in each place
+FILE_COMMANDS = [
+    ["verify", "{bad}"],
+    ["product", "{bad}", "{good}"],
+    ["product", "{good}", "{bad}"],
+    ["shift", "{bad}"],
+    ["export", "{bad}", "--format", "dot"],
+    ["export", "{bad}", "--format", "json"],
+    ["from-adjacency", "{bad}"],
+    ["solve", "{bad}"],
+    ["solve", "{bad}", "--method", "backtrack"],
+    ["spectrum", "{bad}"],
+    ["spectrum", "{good_adj}", "{bad}"],
+]
+
+
+@pytest.mark.parametrize("kind", CONTRACT_FILES)
+def test_mutated_files_exit_cleanly(tmp_path, capsys, kind):
+    # Each of 25 files gets 1 to 4 seeded edits, each replacing, inserting or
+    # deleting one byte, and goes through every subcommand.  An exit of 2
+    # is one error line with nothing on stdout, from a RotmapsError or an
+    # OSError, not one the last-resort handler names by its type, except
+    # where verify reports a table that is not a valid map.
+    bad = tmp_path / f"bad.{kind}"
+    paths = {"bad": str(bad), "good": write(tmp_path, "c5.rot", C5_FILE),
+             "good_adj": write(tmp_path, "k3.adj", "0,1,1\n1,0,1\n1,1,0\n")}
+    rng = random.Random(kind)
+    for _ in range(25):
+        data = bytearray(CONTRACT_FILES[kind].encode())
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(data) + 1)
+            data[at:at + rng.randint(0, 1)] = rng.choice([b"", bytes([rng.choice(EDIT_BYTES)])])
+        bad.write_bytes(data)
+        for command in FILE_COMMANDS:
+            code = main([a.format(**paths) for a in command])
+            out, err = capsys.readouterr()
+            case = (bytes(data), command, out[:200], err)
+            assert code in (0, 1, 2) and "Traceback" not in err, case
+            if code == 2 and command[0] == "verify" and out.startswith("valid map: no\n"):
+                assert err == "", case
+            elif code == 2:
+                assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), case
+                assert not re.match(r"error: \w+(Error|Exception): ", err), case

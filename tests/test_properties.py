@@ -8,12 +8,14 @@ that pairs the darts in the library; the return ports must be equal.
 Likewise ``parse_adj`` must agree with ``reference_adj_rows``, the
 cell-by-cell read it used for non-canonical text, on every text, and
 ``parse_rot``/``parse_perm`` with the line-by-line ``reference_parse_rot``
-and ``reference_parse_perm``, in the table or in the error message, and
-with their own line readers at the byte pass's limits of token length and
-range, and ``format_rot``/``format_perm`` with the ``%``-format writer
-``reference_format_rows``, byte for byte.  Canonical and CRLF text must be
-read without the row and line readers, and canonical text without a
-re-join of its lines, since those fallbacks would return the same result.
+and ``reference_parse_perm``, in the table or in the error message, also
+at the byte pass's limits of token length and range, and
+``format_rot``/``format_perm`` with the ``%``-format writer
+``reference_format_rows``, byte for byte.  The library's row readers only
+name errors, so a byte pass that wrongly refuses good text fails these
+comparisons.  Canonical text, and CRLF .rot and .perm text, must be read
+without a re-join of its lines, since the re-joined text would read the
+same.
 ``solve_matching`` must write the same ``.rot`` text as
 ``reference_solve_matching``, the per-arc loop it replaced.
 """
@@ -468,9 +470,8 @@ def fallback_ran(*args):
 @given(regular_graphs())
 def test_adj_round_trip(adj):
     text = format_adj(adj)
-    with pytest.MonkeyPatch.context() as patched:  # canonical text is read in the byte pass
+    with pytest.MonkeyPatch.context() as patched:  # canonical text is read in one byte pass
         patched.setattr(rotmaps.io, "_rejoin", fallback_ran)
-        patched.setattr(rotmaps.io, "_adj_rows", fallback_ran)
         assert parse_adj(text) == adj
         assert format_adj(parse_adj(text)) == text
 
@@ -539,11 +540,9 @@ def test_parse_adj_agrees_with_cell_by_cell_read(layout_and_text):
     layout, text = layout_and_text
     reference = outcome(lambda t: AdjacencyMatrix(reference_adj_rows(t)), text)
     assert outcome(parse_adj, text) == reference
-    if layout in ("canonical", "crlf"):  # read in the byte pass, CRLF after one re-join
+    if layout == "canonical":  # read in one byte pass
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(rotmaps.io, "_adj_rows", fallback_ran)
-            if layout == "canonical":
-                patched.setattr(rotmaps.io, "_rejoin", fallback_ran)
+            patched.setattr(rotmaps.io, "_rejoin", fallback_ran)
             assert outcome(parse_adj, text) == reference
 
 
@@ -562,10 +561,11 @@ def test_parse_adj_agrees_with_cell_by_cell_read_on_one_changed_byte(adj, data):
 
 
 def reference_int(token, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise MalformedInputError(f"{what}: {token!r} is not an integer") from None
+    """``token`` as an int when it is a run of 1 to 18 ASCII digits."""
+    if not re.fullmatch(r"[0-9]+", token) or len(token) > 18:
+        quoted = repr(token) if len(token) <= 80 else f"{token[:80]!r}..."
+        raise MalformedInputError(f"{what}: {quoted} is not a run of 1 to 18 ASCII digits")
+    return int(token)
 
 
 def reference_header(lines, kind, form):
@@ -583,7 +583,7 @@ def reference_header(lines, kind, form):
 
 
 def reference_parse_rot(text, require_valid_map=True):
-    """Line by line with ``splitlines``, ``split`` and ``int``."""
+    """Line by line with ``splitlines``, ``split`` and ``reference_int``."""
     lines = text.splitlines()
     n, d = reference_header(lines, "rotation", "n d")
     if len(lines) - 1 != n:
@@ -593,11 +593,7 @@ def reference_parse_rot(text, require_valid_map=True):
         parts = line.split()
         if len(parts) != d:
             raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
-        row = [reference_int(p, f"row {number}") for p in parts]
-        for x in row:
-            if not -2**63 <= x < 2**63:
-                raise MalformedInputError(f"row {number}: entry {x} does not fit in 64 bits")
-        rows.append(row)
+        rows.append([reference_int(p, f"row {number}") for p in parts])
     rot = RotationMatrix(np.array(rows, dtype=np.int64))
     if require_valid_map:
         report = reference_validate(rot.entries)
@@ -608,7 +604,7 @@ def reference_parse_rot(text, require_valid_map=True):
 
 
 def reference_parse_perm(text):
-    """Line by line with ``splitlines``, ``split`` and ``int``; then the involution check."""
+    """Line by line with ``splitlines``, ``split``, ``reference_int``; then the involution check."""
     lines = text.splitlines()
     n, d = reference_header(lines, "permutation", "N d")
     if len(lines) - 1 != n * d:
@@ -648,9 +644,9 @@ def table_texts(draw, mutation):
     and a cycle.  The mutations are what a hand-edited or foreign file can
     carry: CRLF or a lone CR, other whitespace in one place or in the
     whole layout (tabs between all tokens, padded lines), missing, blank or
-    extra lines, tokens that ``int`` accepts but the canonical layout does not
-    (leading zeros, ``+7``, ``1_0``, a non-ASCII digit), tokens of 19
-    digits, changed values and stray bytes.
+    extra lines, leading zeros (refused past 18 digits), tokens that ``int``
+    accepts but the format does not (``+7``, ``1_0``, a non-ASCII digit,
+    19 digits), changed values and stray bytes.
     """
     wide = draw(st.booleans())
     kind = "rot" if draw(st.booleans()) else "perm"
@@ -738,11 +734,8 @@ def read_outcome(parse, text):
     return result
 
 
-@pytest.mark.parametrize("mutation", MUTATIONS)
-@settings(PROPERTY, max_examples=40)
-@given(data=st.data())
-def test_rot_and_perm_readers_agree_with_line_by_line_reference(mutation, data):
-    kind, text = data.draw(table_texts(mutation))
+def assert_readers_agree(text):
+    """Both readers give the outcome on ``text`` that the line-by-line references give."""
     for parse, reference in [
         (parse_rot, reference_parse_rot),
         (lambda t: parse_rot(t, require_valid_map=False),
@@ -750,70 +743,55 @@ def test_rot_and_perm_readers_agree_with_line_by_line_reference(mutation, data):
         (parse_perm, reference_parse_perm),
     ]:
         assert read_outcome(parse, text) == read_outcome(reference, text)
-    if mutation in ("canonical", "crlf"):  # the text's own reader takes it in the byte pass
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(PROPERTY, max_examples=40)
+@given(data=st.data())
+def test_rot_and_perm_readers_agree_with_line_by_line_reference(mutation, data):
+    kind, text = data.draw(table_texts(mutation))
+    assert_readers_agree(text)
+    if mutation in ("canonical", "crlf"):  # the text's own reader takes it in one byte pass
         own = {"rot": lambda t: parse_rot(t, require_valid_map=False), "perm": parse_perm}[kind]
         expected = read_outcome(own, text)
         with pytest.MonkeyPatch.context() as patched:
-            for name in ("_rot_rows", "_perm_lines", "_rejoin"):
-                patched.setattr(rotmaps.io, name, fallback_ran)
+            patched.setattr(rotmaps.io, "_rejoin", fallback_ran)
             assert read_outcome(own, text) == expected
-
-
-def assert_byte_pass_agrees(monkeypatch, text, kind=None):
-    """Both readers give the outcome on ``text`` that their line readers alone give.
-
-    When ``kind`` names the format of ``text``, its reader must also read it
-    in the byte pass alone, without the line readers.
-    """
-    readers = [parse_rot, lambda t: parse_rot(t, require_valid_map=False), parse_perm]
-    outcomes = [read_outcome(parse, text) for parse in readers]
-    with monkeypatch.context() as patched:
-        patched.setattr(rotmaps.io, "_canonical_table", lambda data: None)
-        assert [read_outcome(parse, text) for parse in readers] == outcomes
-    if kind is not None:
-        with monkeypatch.context() as patched:
-            patched.setattr(rotmaps.io, "_rot_rows", fallback_ran)
-            patched.setattr(rotmaps.io, "_perm_lines", fallback_ran)
-            assert read_outcome({"rot": parse_rot, "perm": parse_perm}[kind], text) == \
-                outcomes[0 if kind == "rot" else 2]
 
 
 C5_TEXTS = {"rot": format_rot(cycle(5)), "perm": format_perm(build_shift(cycle(5)))}
 
 
 # The byte pass builds values in uint32 up to 9 digits and in uint64 up to
-# 18, and leaves longer tokens to the line readers; its uint8 token lengths
-# wrap past 255 (a token of 274 digits has length 18 modulo 256).
+# 18, and refuses longer tokens; its uint8 token lengths wrap past 255 (a
+# token of 274 digits has length 18 modulo 256).
 @pytest.mark.parametrize("digits", [9, 10, 18, 19, 255, 256, 274])
 @pytest.mark.parametrize("value", ["zero-padded", "large"])
 @pytest.mark.parametrize("kind", ["rot", "perm"])
-def test_readers_agree_at_token_lengths(monkeypatch, kind, value, digits):
+def test_readers_agree_at_token_lengths(kind, value, digits):
     text = C5_TEXTS[kind]
     first = re.search(r"(?<=\n)\d+", text)  # the first token after the header
     token = first[0].zfill(digits) if value == "zero-padded" else "1" + first[0].zfill(digits - 1)
-    in_byte_pass = kind if value == "zero-padded" and digits <= 18 else None
-    assert_byte_pass_agrees(monkeypatch, text[:first.start()] + token + text[first.end():],
-                            in_byte_pass)
+    assert_readers_agree(text[:first.start()] + token + text[first.end():])
 
 
 @pytest.mark.parametrize("kind", ["rot", "perm"])
-def test_readers_agree_on_a_zero_padded_header(monkeypatch, kind):
+def test_readers_agree_on_a_zero_padded_header(kind):
     text = C5_TEXTS[kind]
     header, body = text.split("\n", 1)
-    assert_byte_pass_agrees(monkeypatch, " ".join(t.zfill(12) for t in header.split()) + "\n" + body,
-                            kind)
+    assert_readers_agree(" ".join(t.zfill(12) for t in header.split()) + "\n" + body)
 
 
 # A 0 wraps above every bound in the unsigned range test of parse_perm.
 @pytest.mark.parametrize("column", range(4))
 @pytest.mark.parametrize("value", ["0", "bound + 1", "n + 1"])
-def test_perm_readers_agree_on_a_dart_out_of_range(monkeypatch, column, value):
+def test_perm_readers_agree_on_a_dart_out_of_range(column, value):
     n, d = 5, 2
     bound = (n, d, n, d)[column]
     header, first, rest = C5_TEXTS["perm"].split("\n", 2)
     dart = first.split()
     dart[column] = str({"0": 0, "bound + 1": bound + 1, "n + 1": n + 1}[value])
-    assert_byte_pass_agrees(monkeypatch, "\n".join([header, " ".join(dart), rest]))
+    assert_readers_agree("\n".join([header, " ".join(dart), rest]))
 
 
 def reference_format_rows(header, table):
