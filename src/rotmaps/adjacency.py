@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .core import RotationMatrix, _require_valid
+from .core import RotationMatrix, _frozen, _require_valid
 from .exceptions import ConvergenceError, MalformedInputError, ParameterError, RegularityError
 
 __all__ = [
@@ -49,9 +49,8 @@ class AdjacencyMatrix:
     ``matrix`` is read-only uint8, one byte per cell.  Boolean and integer
     input of any width is accepted; each cell must be 0 or 1, which one
     max() over the input read as unsigned checks, with no n x n temporary.
-    The input is then copied and made read-only, unless it is a uint8
-    C-contiguous array that owns its data and is read-only already: that
-    one is adopted as it is, and must not be made writable again.
+    A read-only, C-contiguous uint8 matrix that owns its data is then
+    adopted as it is; any other is copied into one.
     Symmetry and a zero diagonal are enforced at construction; regularity
     is checked on demand by :meth:`degree`.
     """
@@ -71,9 +70,7 @@ class AdjacencyMatrix:
             arr = arr.view(arr.dtype.str.replace("i", "u"))
         if arr.max() > 1:
             raise MalformedInputError("adjacency entries must be 0 or 1")
-        if (arr.dtype != np.uint8 or arr.flags.writeable or not arr.flags.c_contiguous
-                or not arr.flags.owndata):
-            arr = arr.astype(np.uint8, order="C")
+        arr = _frozen(arr, np.uint8)
         if np.any(np.diag(arr) != 0):
             v = int(np.nonzero(np.diag(arr))[0][0]) + 1
             raise MalformedInputError(f"nonzero diagonal at vertex {v} (self-loops not allowed)")
@@ -82,7 +79,6 @@ class AdjacencyMatrix:
                    for i in range(0, n, 512) for j in range(i, n, 512)):
             v, w = (int(x) + 1 for x in np.argwhere(arr != arr.T)[0])
             raise MalformedInputError(f"adjacency matrix not symmetric at ({v}, {w})")
-        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     @property

@@ -11,8 +11,10 @@ of the matrix form being a permutation of the vertex set.
 
 One sort of the n*d edge keys recognizes a valid map and finds its return
 ports (:func:`_pair`), in O(n*d*log(n*d)) time and O(n*d) memory; both are
-cached on the map, so each map is paired once.  A table that is not a valid
-map has its row keys sorted too, to name its defects (:func:`_check`).
+cached on the map, so each map is paired once.  That sort alone decides
+validity: a table it refuses is sorted once more, by its row keys, only to
+name its defects (:func:`_check`).  Every defect is named by one builder
+(:func:`_violations`).
 
 All vertex ids and ports are 1-indexed, here and in every file format.
 """
@@ -43,10 +45,9 @@ class RotationMatrix:
     """Matrix form of a rotation map.
 
     ``entries[v-1, i-1] == w`` says the i-th edge leaving vertex v enters
-    vertex w.  The table is copied and made read-only at construction,
-    unless it is an int64 array that owns its data and is read-only
-    already: that one is adopted as it is, and must not be made writable
-    again.  Construction only enforces shape and value range; use
+    vertex w.  A read-only, C-contiguous int64 table that owns its data is
+    adopted as it is; any other is copied into one (:func:`_frozen`).
+    Construction only enforces shape and value range; use
     :func:`validate` for the structural checks (self-loops, row
     duplicates, symmetry).
     """
@@ -66,13 +67,11 @@ class RotationMatrix:
             raise MalformedInputError("a rotation map needs degree at least 1")
         if not np.issubdtype(arr.dtype, np.integer):
             raise MalformedInputError("rotation table entries must be integers")
-        if arr.dtype != np.int64 or arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.astype(np.int64)
+        arr = _frozen(arr, np.int64)
         lo, hi = int(arr.min()), int(arr.max())
         if lo < 1 or hi > n:
             bad = lo if lo < 1 else hi
             raise MalformedInputError(f"vertex id {bad} outside 1..{n} in rotation table")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -92,11 +91,10 @@ class RotationMatrix:
 
     @functools.cached_property
     def _report(self) -> ValidationReport:
-        if self._ports is None:
-            return _check(self.entries)
-        column = _column_repeats(self.entries)
-        return ValidationReport(is_valid_map=True, is_consistent=not column,
-                                violations=tuple(column))
+        valid = self._ports is not None
+        violations = ([] if valid else _check(self.entries)) + _column_repeats(self.entries)
+        return ValidationReport(is_valid_map=valid, is_consistent=valid and not violations,
+                                violations=tuple(violations))
 
     def __eq__(self, other):
         if not isinstance(other, RotationMatrix):
@@ -130,9 +128,6 @@ class Violation(collections.namedtuple("Violation", ["kind", "location", "messag
 
     def __str__(self):
         return self.message
-
-
-MAP_VIOLATION_KINDS = ("self-loop", "duplicate-in-row", "asymmetric-incidence")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,6 +182,20 @@ def _pair(ent: np.ndarray) -> np.ndarray | None:
     return ports.reshape(n, d)
 
 
+def _violations(kind: str, template: str, *columns: np.ndarray) -> list[Violation]:
+    """One ``kind`` defect per row of ``columns``, located at its first two values.
+
+    Every message comes from one %-format of ``template``, repeated once per
+    row, over all the columns' values.
+    """
+    if not columns[0].size:  # no defect; the stack below costs more than the check
+        return []
+    values = np.stack(columns, axis=1).ravel().tolist()
+    messages = ((template + "\n") * len(columns[0]) % tuple(values)).splitlines()
+    return list(map(Violation, itertools.repeat(kind),
+                    zip(columns[0].tolist(), columns[1].tolist()), messages))
+
+
 def _column_repeats(ent: np.ndarray) -> list[Violation]:
     """``duplicate-in-column`` defects, counted over the keys i*n + (w-1) in ascending order."""
     n, d = ent.shape
@@ -195,70 +204,45 @@ def _column_repeats(ent: np.ndarray) -> list[Violation]:
     counts = np.bincount(keys.ravel(), minlength=n * d)
     del keys
     (rep,) = np.nonzero(counts > 1)
-    if not rep.size:  # a consistent map; the stack below costs more than the count
-        return []
-    found = np.stack([rep // n + 1, rep % n + 1, counts[rep]], axis=1)  # column, vertex, count
-    # every message from one %-format of a repeated template, one line each
-    messages = ("duplicate-in-column at column %d: vertex %d appears %d times\n" * len(found)
-                % tuple(found.ravel().tolist())).splitlines()
-    columns, vertices = found[:, 0].tolist(), found[:, 1].tolist()
-    return list(map(Violation, itertools.repeat("duplicate-in-column"), zip(columns, vertices),
-                    messages))
+    return _violations("duplicate-in-column",
+                       "duplicate-in-column at column %d: vertex %d appears %d times",
+                       rep // n + 1, rep % n + 1, counts[rep])
 
 
-def _check(ent: np.ndarray) -> ValidationReport:
-    """Every defect, found by sorting the row keys: O(n*d*log(n*d)) time, O(n*d) memory.
+def _check(ent: np.ndarray) -> list[Violation]:
+    """The map defects of a table :func:`_pair` refuses: self-loops, row repeats, asymmetry.
 
-    Only tables that :func:`_pair` refuses come here, to have their defects named.
+    Found by sorting the row keys, in O(n*d*log(n*d)) time and O(n*d) memory.
     """
     n, d = ent.shape
-    violations: list[Violation] = []
-
-    for r, c in zip(*np.nonzero(ent == np.arange(1, n + 1)[:, None])):
-        violations.append(
-            Violation("self-loop", (int(r) + 1, int(c) + 1),
-                      f"self-loop at row {r + 1}, column {c + 1}")
-        )
-
+    rows, cols = np.nonzero(ent == np.arange(1, n + 1)[:, None])
     # sorted keys v*n + (w-1), one per (row, vertex) pair, and their counts
     keys, counts = np.unique(np.arange(n)[:, None] * n + (ent - 1), return_counts=True)
-    for key, k in zip(keys[counts > 1].tolist(), counts[counts > 1].tolist()):
-        v, w = divmod(key, n)
-        violations.append(
-            Violation("duplicate-in-row", (v + 1, w + 1),
-                      f"duplicate-in-row at row {v + 1}: vertex {w + 1} appears {k} times")
-        )
-
     # the reverse pair (w, v) of key v*n + (w-1) has key (w-1)*n + v; absent keys count 0
     rev = keys % n * n + keys // n
     pos = np.minimum(np.searchsorted(keys, rev), keys.size - 1)
     back = np.where(keys[pos] == rev, counts[pos], 0)
-    asym = counts > back
-    for key, k, b in zip(keys[asym].tolist(), counts[asym].tolist(), back[asym].tolist()):
-        v, w = divmod(key, n)
-        violations.append(
-            Violation(
-                "asymmetric-incidence", (v + 1, w + 1),
-                f"asymmetric-incidence at row {v + 1}: vertex {w + 1} appears "
-                f"{k} times but row {w + 1} lists vertex {v + 1} {b} times",
-            )
-        )
-
-    violations += _column_repeats(ent)
-
-    is_valid = not any(v.kind in MAP_VIOLATION_KINDS for v in violations)
-    return ValidationReport(is_valid_map=is_valid, is_consistent=is_valid and not violations,
-                            violations=tuple(violations))
+    v, w = keys // n + 1, keys % n + 1
+    rep, asym = counts > 1, counts > back
+    return (
+        _violations("self-loop", "self-loop at row %d, column %d", rows + 1, cols + 1)
+        + _violations("duplicate-in-row", "duplicate-in-row at row %d: vertex %d appears %d times",
+                      v[rep], w[rep], counts[rep])
+        + _violations("asymmetric-incidence",
+                      "asymmetric-incidence at row %d: vertex %d appears %d times "
+                      "but row %d lists vertex %d %d times",
+                      v[asym], w[asym], counts[asym], w[asym], v[asym], back[asym])
+    )
 
 
 def _require_valid(rot: RotationMatrix) -> ValidationReport:
     """Validate and raise if the table is not a valid rotation map."""
     report = validate(rot)
-    if not report.is_valid_map:
-        structural = [v for v in report.violations if v.kind in MAP_VIOLATION_KINDS]
-        extra = f" (+{len(structural) - 1} more)" if len(structural) > 1 else ""
+    if not report.is_valid_map:  # the map defects come first, and there is at least one
+        more = sum(v.kind != "duplicate-in-column" for v in report.violations) - 1
+        extra = f" (+{more} more)" if more else ""
         raise InvalidRotationMapError(
-            f"not a valid rotation map: {structural[0]}{extra}",
+            f"not a valid rotation map: {report.violations[0]}{extra}",
             violations=report.violations,
         )
     return report
@@ -280,3 +264,16 @@ def to_full_form(rot: RotationMatrix) -> np.ndarray:
     """
     _require_valid(rot)
     return rot._ports
+
+
+def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
+    """``arr`` itself if it is a read-only, C-contiguous ``dtype`` array that owns its data.
+
+    Any other array is copied into one.  An adopted array must not be made
+    writable again: the object that adopts it relies on it never changing.
+    """
+    if (arr.dtype != dtype or arr.flags.writeable or not arr.flags.c_contiguous
+            or not arr.flags.owndata):
+        arr = arr.astype(dtype, order="C")
+        arr.setflags(write=False)
+    return arr

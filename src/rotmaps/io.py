@@ -262,7 +262,7 @@ def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
     if require_valid_map:
         report = validate(rot)
         if not report.is_valid_map:
-            first = next(v for v in report.violations if v.kind != "duplicate-in-column")
+            first = report.violations[0]  # a map defect: those come first
             raise MalformedInputError(f"file does not describe a valid rotation map: {first}")
     return rot
 

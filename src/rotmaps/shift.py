@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import RotationMatrix, _require_valid, to_full_form
+from .core import RotationMatrix, _frozen, _require_valid, to_full_form
 from .exceptions import InconsistentInputWarning, MalformedInputError
 
 __all__ = [
@@ -28,10 +28,9 @@ __all__ = [
 class ShiftPermutation:
     """Candidate permutation on the N*d darts of a degree-d graph on N vertices.
 
-    ``images[k-1]`` is the image of dart index k.  The images are copied
-    and made read-only at construction, unless they are an int64 array
-    that owns its data and is read-only already: that one is adopted as it
-    is, and must not be made writable again.  Construction only checks
+    ``images[k-1]`` is the image of dart index k.  A read-only int64 array
+    of images that is C-contiguous and owns its data is adopted as it is;
+    any other is copied into one.  Construction only checks
     shapes and value ranges; bijectivity and involutivity are checked by
     :func:`verify_unitary`, so defective tables can be represented and
     rejected there.
@@ -52,11 +51,9 @@ class ShiftPermutation:
             raise MalformedInputError(f"need {size} dart images, got shape {imgs.shape}")
         if not np.issubdtype(imgs.dtype, np.integer):
             raise MalformedInputError("dart images must be integers")
-        if imgs.dtype != np.int64 or imgs.flags.writeable or not imgs.flags.owndata:
-            imgs = imgs.astype(np.int64)
+        imgs = _frozen(imgs, np.int64)
         if imgs.min() < 1 or imgs.max() > size:
             raise MalformedInputError(f"dart image outside 1..{size}")
-        imgs.setflags(write=False)
         object.__setattr__(self, "images", imgs)
 
     @property

@@ -176,6 +176,26 @@ class TestVerify:
         assert "valid map: no" in out
         assert "self-loop" in out
 
+    def test_invalid_map_report_in_full(self, tmp_path, capsys):
+        # map defects first (self-loops, row repeats, asymmetry), then column repeats
+        path = write(tmp_path, "four.rot", "4 2\n1 2\n1 1\n4 2\n3 1\n")
+        assert main(["verify", path]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "valid map: no",
+            "consistent: no",
+            "violations:",
+            "  self-loop at row 1, column 1",
+            "  duplicate-in-row at row 2: vertex 1 appears 2 times",
+            "  asymmetric-incidence at row 2: vertex 1 appears 2 times"
+            " but row 1 lists vertex 2 1 times",
+            "  asymmetric-incidence at row 3: vertex 2 appears 1 times"
+            " but row 2 lists vertex 3 0 times",
+            "  asymmetric-incidence at row 4: vertex 1 appears 1 times"
+            " but row 1 lists vertex 4 0 times",
+            "  duplicate-in-column at column 1: vertex 1 appears 2 times",
+            "  duplicate-in-column at column 2: vertex 1 appears 2 times",
+            "  duplicate-in-column at column 2: vertex 2 appears 2 times",
+        ]
 
     def test_entry_beyond_int64_is_one_error_line(self, tmp_path, capsys):
         path = write(tmp_path, "big.rot", "2 1\n99999999999999999999999\n1\n")

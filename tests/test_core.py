@@ -57,13 +57,15 @@ class TestConstruction:
         lambda a: a,  # writable
         lambda a: a.astype(np.int32),  # another dtype
         lambda a: a[::-1][::-1],  # a view, which owns no data
-    ], ids=["writable", "int32", "view"])
+        lambda a: np.asfortranarray(a),  # owned, but not C-contiguous
+    ], ids=["writable", "int32", "view", "fortran"])
     def test_other_tables_copied(self, make):
         src = np.array(TRIANGLE, dtype=np.int64)
         table = make(src)
         table.setflags(write=table is src)
         rot = RotationMatrix(table)
         assert rot.entries is not table and rot.entries.dtype == np.int64
+        assert rot.entries.flags.c_contiguous
         src[0, 0] = 3
         assert rot.entries.tolist() == TRIANGLE
 
