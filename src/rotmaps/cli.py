@@ -88,12 +88,12 @@ def cmd_product(args) -> int:
 def cmd_verify(args) -> int:
     rot = _load_rot(args.path, require_valid_map=False)
     report = validate(rot)
-    print(f"valid map: {'yes' if report.is_valid_map else 'no'}")
-    print(f"consistent: {'yes' if report.is_consistent else 'no'}")
+    lines = [f"valid map: {'yes' if report.is_valid_map else 'no'}",
+             f"consistent: {'yes' if report.is_consistent else 'no'}"]
     if report.violations:
-        print("violations:")
-        for violation in report.violations:
-            print(f"  {violation}")
+        lines.append("violations:")
+        lines += [f"  {message}" for _, _, message in report.violations]
+    sys.stdout.write("\n".join(lines) + "\n")  # one write: a report can run to 10^5 lines
     if not report.is_valid_map:
         return 2
     return 0 if report.is_consistent else 1

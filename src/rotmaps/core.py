@@ -13,15 +13,18 @@ One sort of the n*d edge keys recognizes a valid map and finds its return
 ports (:func:`_pair`), in O(n*d*log(n*d)) time and O(n*d) memory; both are
 cached on the map, so each map is paired once.  That sort alone decides
 validity: a table it refuses is sorted once more, by its row keys, only to
-name its defects (:func:`_check`).  Every defect is named by one builder
-(:func:`_violations`).
+find its defects (:func:`_check`).  A report counts its defects at once and
+names them on first read: its ``violations`` keep the located defects as
+arrays, answer ``len`` and ``bool`` from their counts, and build every
+message through one builder (:func:`_violations`) only when iterated or
+indexed, so a caller that asks only whether a map is consistent formats none.
 
 All vertex ids and ports are 1-indexed, here and in every file format.
 """
 
 from __future__ import annotations
 
-import collections
+import collections.abc
 import dataclasses
 import functools
 import itertools
@@ -92,9 +95,9 @@ class RotationMatrix:
     @functools.cached_property
     def _report(self) -> ValidationReport:
         valid = self._ports is not None
-        violations = ([] if valid else _check(self.entries)) + _column_repeats(self.entries)
-        return ValidationReport(is_valid_map=valid, is_consistent=valid and not violations,
-                                violations=tuple(violations))
+        defects = _Defects(([] if valid else _check(self.entries)) + _column_repeats(self.entries))
+        return ValidationReport(is_valid_map=valid, is_consistent=valid and not defects,
+                                violations=defects)
 
     def __eq__(self, other):
         if not isinstance(other, RotationMatrix):
@@ -119,9 +122,10 @@ class Violation(collections.namedtuple("Violation", ["kind", "location", "messag
       ``asymmetric-incidence`` (row, vertex)
       ``duplicate-in-column``  (column, vertex)
 
-    A named tuple, so that a report of many defects is built at the cost of
+    A named tuple, so that a report of many defects is named at the cost of
     tuples: it is immutable and hashable, unpacks into its three fields,
-    and equals a plain tuple of them.  ``str`` gives the message.
+    and equals a plain tuple of them.  ``str`` gives the message.  A report
+    builds its violations only when they are read (:class:`ValidationReport`).
     """
 
     __slots__ = ()
@@ -132,11 +136,62 @@ class Violation(collections.namedtuple("Violation", ["kind", "location", "messag
 
 @dataclasses.dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate`: map validity, consistency, and every defect found."""
+    """Outcome of :func:`validate`: map validity, consistency, and every defect found.
+
+    ``violations`` is a read-only sequence of :class:`Violation`, map defects
+    first.  It is counted when the report is made and named on first read:
+    ``len``, ``bool`` and the two verdicts read the counts, and the first
+    iteration or index builds every ``Violation`` once and keeps them.  It
+    equals, hashes and prints like the tuple of its items, so two reports
+    with the same verdicts and defects are equal whether their violations
+    were read or not, or given as a plain tuple.
+    """
 
     is_valid_map: bool
     is_consistent: bool
-    violations: tuple[Violation, ...]
+    violations: collections.abc.Sequence[Violation]
+
+
+class _Defects(collections.abc.Sequence):
+    """The ``violations`` of a report (:class:`ValidationReport`).
+
+    Holds the ``(kind, template, columns)`` groups of :func:`_check` and
+    :func:`_column_repeats` until the first read names them.
+    """
+
+    __slots__ = ("_groups", "_counts", "_named")
+
+    def __init__(self, groups):
+        self._groups = groups
+        self._counts = {kind: columns[0].size for kind, _, columns in groups}
+        self._named = None
+
+    def _items(self) -> tuple[Violation, ...]:
+        if self._named is None:
+            self._named = tuple(itertools.chain.from_iterable(
+                _violations(kind, template, *columns) for kind, template, columns in self._groups))
+            self._groups = None  # the arrays are not needed once named
+        return self._named
+
+    def __len__(self):
+        return sum(self._counts.values())
+
+    def __getitem__(self, index):
+        return self._items()[index]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Defects)):
+            return NotImplemented
+        return len(self) == len(other) and self._items() == tuple(other)
+
+    def __hash__(self):
+        return hash(self._items())
+
+    def __repr__(self):
+        return repr(self._items())
 
 
 def validate(rot: RotationMatrix) -> ValidationReport:
@@ -149,8 +204,11 @@ def validate(rot: RotationMatrix) -> ValidationReport:
 
     One sort of the n*d edge keys recognizes a valid map and pairs its darts,
     and its column repeats are counted in one pass; a table that is not one
-    has its row keys sorted too, to name its defects.  Either way this costs
+    has its row keys sorted too, to find its defects.  Either way this costs
     O(n*d*log(n*d)) time in O(n*d) memory, once: the report is cached on the map.
+    The defects are counted here and named only when the report's
+    ``violations`` are first iterated or indexed; ``len`` of them, and the
+    verdicts, format no message.
     """
     return rot._report
 
@@ -188,29 +246,26 @@ def _violations(kind: str, template: str, *columns: np.ndarray) -> list[Violatio
     Every message comes from one %-format of ``template``, repeated once per
     row, over all the columns' values.
     """
-    if not columns[0].size:  # no defect; the stack below costs more than the check
-        return []
     values = np.stack(columns, axis=1).ravel().tolist()
     messages = ((template + "\n") * len(columns[0]) % tuple(values)).splitlines()
     return list(map(Violation, itertools.repeat(kind),
                     zip(columns[0].tolist(), columns[1].tolist()), messages))
 
 
-def _column_repeats(ent: np.ndarray) -> list[Violation]:
-    """``duplicate-in-column`` defects, counted over the keys i*n + (w-1) in ascending order."""
+def _column_repeats(ent: np.ndarray) -> list[tuple]:
+    """The ``duplicate-in-column`` group, counted over the keys i*n + (w-1) in ascending order."""
     n, d = ent.shape
     keys = ent - 1
     keys += np.arange(d) * n
     counts = np.bincount(keys.ravel(), minlength=n * d)
     del keys
     (rep,) = np.nonzero(counts > 1)
-    return _violations("duplicate-in-column",
-                       "duplicate-in-column at column %d: vertex %d appears %d times",
-                       rep // n + 1, rep % n + 1, counts[rep])
+    return [("duplicate-in-column", "duplicate-in-column at column %d: vertex %d appears %d times",
+             (rep // n + 1, rep % n + 1, counts[rep]))]
 
 
-def _check(ent: np.ndarray) -> list[Violation]:
-    """The map defects of a table :func:`_pair` refuses: self-loops, row repeats, asymmetry.
+def _check(ent: np.ndarray) -> list[tuple]:
+    """The map defect groups of a table :func:`_pair` refuses: self-loops, row repeats, asymmetry.
 
     Found by sorting the row keys, in O(n*d*log(n*d)) time and O(n*d) memory.
     """
@@ -224,27 +279,26 @@ def _check(ent: np.ndarray) -> list[Violation]:
     back = np.where(keys[pos] == rev, counts[pos], 0)
     v, w = keys // n + 1, keys % n + 1
     rep, asym = counts > 1, counts > back
-    return (
-        _violations("self-loop", "self-loop at row %d, column %d", rows + 1, cols + 1)
-        + _violations("duplicate-in-row", "duplicate-in-row at row %d: vertex %d appears %d times",
-                      v[rep], w[rep], counts[rep])
-        + _violations("asymmetric-incidence",
-                      "asymmetric-incidence at row %d: vertex %d appears %d times "
-                      "but row %d lists vertex %d %d times",
-                      v[asym], w[asym], counts[asym], w[asym], v[asym], back[asym])
-    )
+    return [
+        ("self-loop", "self-loop at row %d, column %d", (rows + 1, cols + 1)),
+        ("duplicate-in-row", "duplicate-in-row at row %d: vertex %d appears %d times",
+         (v[rep], w[rep], counts[rep])),
+        ("asymmetric-incidence",
+         "asymmetric-incidence at row %d: vertex %d appears %d times "
+         "but row %d lists vertex %d %d times",
+         (v[asym], w[asym], counts[asym], w[asym], v[asym], back[asym])),
+    ]
 
 
 def _require_valid(rot: RotationMatrix) -> ValidationReport:
     """Validate and raise if the table is not a valid rotation map."""
     report = validate(rot)
     if not report.is_valid_map:  # the map defects come first, and there is at least one
-        more = sum(v.kind != "duplicate-in-column" for v in report.violations) - 1
+        defects = report.violations
+        more = len(defects) - defects._counts["duplicate-in-column"] - 1
         extra = f" (+{more} more)" if more else ""
-        raise InvalidRotationMapError(
-            f"not a valid rotation map: {report.violations[0]}{extra}",
-            violations=report.violations,
-        )
+        raise InvalidRotationMapError(f"not a valid rotation map: {defects[0]}{extra}",
+                                      violations=defects)
     return report
 
 

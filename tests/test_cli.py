@@ -8,6 +8,7 @@ import pytest
 
 import rotmaps.adjacency
 from rotmaps import (
+    RotationMatrix,
     adjacency_from_rotation,
     build_shift,
     cartesian_rotation,
@@ -197,6 +198,22 @@ class TestVerify:
             "  duplicate-in-column at column 2: vertex 2 appears 2 times",
         ]
 
+    def test_each_defect_named_once(self, tmp_path, capsys, monkeypatch):
+        from rotmaps import core
+
+        named, name = [], core._violations
+
+        def counting(kind, template, *columns):
+            named.extend([kind] * len(columns[0]))
+            return name(kind, template, *columns)
+
+        monkeypatch.setattr(core, "_violations", counting)
+        path = write(tmp_path, "four.rot", "4 2\n1 2\n1 1\n4 2\n3 1\n")
+        assert main(["verify", path]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert named == [line.split()[0] for line in lines[3:]]
+        assert len(named) == 8
+
     def test_entry_beyond_int64_is_one_error_line(self, tmp_path, capsys):
         path = write(tmp_path, "big.rot", "2 1\n99999999999999999999999\n1\n")
         assert main(["verify", path]) == 2
@@ -360,6 +377,22 @@ class TestShiftAndExport:
         lines = perm.read_text().splitlines()
         assert lines[0] == "24 4"
         assert len(lines) == 97
+
+    def test_shift_of_inconsistent_map_names_no_defect(self, tmp_path, capsys, monkeypatch):
+        from rotmaps import core
+
+        def refuse(*args):
+            raise AssertionError("a defect was named")
+
+        monkeypatch.setattr(core, "_violations", refuse)
+        # C6 x C4 with the ports of each row rotated by its row number: valid, inconsistent
+        table = cartesian_rotation(cycle(6), cycle(4)).entries
+        rotated = [row[v % 4:] + row[:v % 4] for v, row in enumerate(table.tolist())]
+        path = write(tmp_path, "rotated.rot", format_rot(RotationMatrix(rotated)))
+        assert main(["shift", path]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 97
+        assert captured.err.startswith("warning: rotation map is not consistent")
 
     def test_export_dot(self, tmp_path, capsys):
         c3 = write(tmp_path, "c3.rot", format_rot(cycle(3)))

@@ -8,9 +8,11 @@ import pytest
 
 from conftest import CORPUS, CORPUS_IDS
 from rotmaps import (
+    InconsistentInputWarning,
     InvalidRotationMapError,
     MalformedInputError,
     RotationMatrix,
+    ValidationReport,
     Violation,
     build_shift,
     cartesian_rotation,
@@ -28,6 +30,8 @@ TRIANGLE = [[2, 3], [3, 1], [1, 2]]
 ROW_SCAN_TRIANGLE = [[2, 3], [1, 3], [1, 2]]
 K2_MAP = [[2], [1]]
 C5 = [[2, 5], [3, 1], [4, 2], [5, 3], [1, 4]]
+# five map defects (a self-loop, a row repeat, three asymmetries), then three column repeats
+FOUR = [[1, 2], [1, 1], [4, 2], [3, 1]]
 
 TRIANGLE_PAIRS = {
     (1, 1): (2, 2),
@@ -142,6 +146,84 @@ class TestValidate:
         # degree 1 (a perfect matching) is allowed and consistent
         report = validate(RotationMatrix([[2], [1], [4], [3]]))
         assert report.is_valid_map and report.is_consistent
+
+
+class TestReportViolations:
+    """A report's violations: a sequence counted at once and named on first read."""
+
+    @pytest.fixture
+    def unnamed(self, monkeypatch):
+        from rotmaps import core
+
+        def refuse(*args):
+            raise AssertionError("a defect was named")
+
+        monkeypatch.setattr(core, "_violations", refuse)
+
+    def test_counts_and_verdicts_name_nothing(self, unnamed):
+        report = validate(RotationMatrix(ROW_SCAN_TRIANGLE))
+        assert report.is_valid_map and not report.is_consistent
+        # column 1 repeats vertex 1, column 2 vertex 3
+        assert len(report.violations) == 2 and report.violations
+
+    def test_consumers_of_an_inconsistent_map_name_nothing(self, unnamed):
+        rot = RotationMatrix(ROW_SCAN_TRIANGLE)
+        assert not is_consistent(rot)
+        with pytest.warns(InconsistentInputWarning):
+            build_shift(rot)
+        with pytest.warns(InconsistentInputWarning):
+            cartesian_rotation(rot, cycle(4))
+        with pytest.warns(InconsistentInputWarning):
+            cartesian_rotation(cycle(4), rot)
+
+    def test_equal_to_the_tuple_of_its_items_both_ways(self):
+        violations = validate(RotationMatrix(FOUR)).violations
+        items = tuple(violations)
+        assert len(items) == 8
+        assert violations == items and items == violations
+        assert not violations != items and not items != violations
+        assert hash(violations) == hash(items)
+        assert violations != items[:-1] and items[:-1] != violations
+        assert violations != list(items)
+
+    def test_unread_reports_equal(self):
+        # neither sequence has been read before the comparison names both
+        first, second = validate(RotationMatrix(FOUR)), validate(RotationMatrix(FOUR))
+        assert first.violations == second.violations
+        assert first == ValidationReport(False, False, tuple(second.violations))
+        assert hash(first) == hash(ValidationReport(False, False, tuple(first.violations)))
+
+    def test_repr_indices_and_slices(self):
+        violations = validate(RotationMatrix(FOUR)).violations
+        items = tuple(violations)
+        assert repr(violations) == repr(items)
+        assert violations[0] == Violation("self-loop", (1, 1), "self-loop at row 1, column 1")
+        assert violations[-1] == items[-1] and violations[-1].kind == "duplicate-in-column"
+        assert violations[-8] == items[0]
+        assert violations[1:4] == items[1:4] and violations[::-1] == items[::-1]
+        with pytest.raises(IndexError):
+            violations[8]
+
+    def test_empty(self):
+        report = validate(RotationMatrix(TRIANGLE))
+        assert not report.violations and len(report.violations) == 0
+        assert report.violations == () and repr(report.violations) == "()"
+        assert list(report.violations) == []
+
+    def test_two_iterations_give_equal_items(self):
+        violations = validate(RotationMatrix(FOUR)).violations
+        assert list(violations) == list(violations)
+        assert [v.kind for v in violations] == (
+            ["self-loop", "duplicate-in-row"] + ["asymmetric-incidence"] * 3
+            + ["duplicate-in-column"] * 3)
+
+    def test_error_holds_a_tuple_and_counts_the_map_defects(self):
+        rot = RotationMatrix(FOUR)
+        with pytest.raises(InvalidRotationMapError) as caught:
+            to_full_form(rot)
+        assert type(caught.value.violations) is tuple
+        assert caught.value.violations == validate(rot).violations
+        assert str(caught.value) == "not a valid rotation map: self-loop at row 1, column 1 (+4 more)"
 
 
 class TestViolation:
