@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .core import RotationMatrix, _frozen, _require_valid
+from .core import RotationMatrix, _array, _frozen, _require_valid
 from .exceptions import ConvergenceError, MalformedInputError, ParameterError, RegularityError
 
 __all__ = [
@@ -58,7 +58,7 @@ class AdjacencyMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix)
+        arr = _array(self.matrix, "adjacency matrix")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MalformedInputError(f"adjacency matrix must be square, got shape {arr.shape}")
         n = arr.shape[0]
@@ -139,7 +139,7 @@ class Spectrum:
     tolerance: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = _array(self.values, "spectrum", np.float64)
         if vals.ndim != 1 or vals.size == 0:
             raise MalformedInputError(f"spectrum must be a nonempty vector, got shape {vals.shape}")
         # NaN fails every comparison, and each value but a lone one is in a difference

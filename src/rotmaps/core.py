@@ -58,7 +58,7 @@ class RotationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries)
+        arr = _array(self.entries, "rotation table")
         if arr.ndim != 2:
             raise MalformedInputError(
                 f"rotation table must be two-dimensional, got shape {arr.shape}"
@@ -140,11 +140,12 @@ class ValidationReport:
 
     ``violations`` is a read-only sequence of :class:`Violation`, map defects
     first.  It is counted when the report is made and named on first read:
-    ``len``, ``bool`` and the two verdicts read the counts, and the first
-    iteration or index builds every ``Violation`` once and keeps them.  It
-    equals, hashes and prints like the tuple of its items, so two reports
-    with the same verdicts and defects are equal whether their violations
-    were read or not, or given as a plain tuple.
+    ``len``, ``bool`` and the two verdicts read the counts, index 0 names
+    the first defect alone until then, and any other first read builds
+    every ``Violation`` once and keeps them.  It equals, hashes and prints
+    like the tuple of its items, so two reports with the same verdicts and
+    defects are equal whether their violations were read or not, or given
+    as a plain tuple.
     """
 
     is_valid_map: bool
@@ -156,7 +157,9 @@ class _Defects(collections.abc.Sequence):
     """The ``violations`` of a report (:class:`ValidationReport`).
 
     Holds the ``(kind, template, columns)`` groups of :func:`_check` and
-    :func:`_column_repeats` until the first read names them.
+    :func:`_column_repeats` until the first read names them.  Index 0 read
+    before that names only the first row of the first non-empty group and
+    keeps nothing: a refused table reports its first map defect alone.
     """
 
     __slots__ = ("_groups", "_counts", "_named")
@@ -177,6 +180,9 @@ class _Defects(collections.abc.Sequence):
         return sum(self._counts.values())
 
     def __getitem__(self, index):
+        if index == 0 and self._named is None and len(self):
+            kind, template, columns = next(group for group in self._groups if group[2][0].size)
+            return _violations(kind, template, *(column[:1] for column in columns))[0]
         return self._items()[index]
 
     def __iter__(self):
@@ -318,6 +324,14 @@ def to_full_form(rot: RotationMatrix) -> np.ndarray:
     """
     _require_valid(rot)
     return rot._ports
+
+
+def _array(data, what: str, dtype=None) -> np.ndarray:
+    """``np.asarray(data, dtype)``; a ragged or unconvertible ``data`` is a malformed ``what``."""
+    try:
+        return np.asarray(data, dtype=dtype)
+    except (ValueError, TypeError) as exc:
+        raise MalformedInputError(f"{what} is not a rectangular array of numbers: {exc}") from None
 
 
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:

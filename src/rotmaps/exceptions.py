@@ -1,5 +1,9 @@
 """Exception and warning types shared across the package."""
 
+__all__ = ["RotmapsError", "MalformedInputError", "InvalidRotationMapError", "ParameterError",
+           "RegularityError", "ConvergenceError", "SearchBudgetExceededError",
+           "InconsistentInputWarning"]
+
 
 class RotmapsError(Exception):
     """Base class for every error raised by this package."""

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import RotationMatrix, _frozen, _require_valid, to_full_form
+from .core import RotationMatrix, _array, _frozen, _require_valid, to_full_form
 from .exceptions import InconsistentInputWarning, MalformedInputError
 
 __all__ = [
@@ -45,7 +45,7 @@ class ShiftPermutation:
             raise MalformedInputError(
                 f"need positive vertex count and degree, got {self.num_vertices}, {self.degree}"
             )
-        imgs = np.asarray(self.images)
+        imgs = _array(self.images, "dart images")
         size = self.num_vertices * self.degree
         if imgs.ndim != 1 or imgs.size != size:
             raise MalformedInputError(f"need {size} dart images, got shape {imgs.shape}")

@@ -41,6 +41,7 @@ class TestAdjacencyMatrix:
         [[1, 1], [1, 0]],                # nonzero diagonal
         [[0, 1], [0, 0]],                # not symmetric
         [[0.0, 1.0], [1.0, 0.0]],        # floats
+        [[0, 1], [1]],                   # ragged
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(MalformedInputError):

@@ -91,6 +91,7 @@ class TestConstruction:
         [[0], [1]],                    # value below 1
         [[2]],                         # single vertex
         [[], []],                      # degree 0
+        [[2, 3], [1]],                 # ragged
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(MalformedInputError):
@@ -224,6 +225,25 @@ class TestReportViolations:
         assert type(caught.value.violations) is tuple
         assert caught.value.violations == validate(rot).violations
         assert str(caught.value) == "not a valid rotation map: self-loop at row 1, column 1 (+4 more)"
+
+    def test_refused_file_names_its_first_defect_alone(self, monkeypatch):
+        from rotmaps import core
+        from rotmaps.io import parse_rot
+
+        # the row-scan reading of K4 (column repeats) with a self-loop in row 1
+        text = "4 3\n1 3 4\n1 3 4\n1 2 4\n1 2 3\n"
+        rows, name = [], core._violations
+
+        def counted(kind, template, *columns):
+            rows.append(len(columns[0]))
+            return name(kind, template, *columns)
+
+        monkeypatch.setattr(core, "_violations", counted)
+        with pytest.raises(MalformedInputError) as caught:
+            parse_rot(text)
+        assert sum(rows) == 1
+        assert str(caught.value) == (
+            "file does not describe a valid rotation map: self-loop at row 1, column 1")
 
 
 class TestViolation:

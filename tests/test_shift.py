@@ -120,3 +120,5 @@ class TestShiftPermutation:
     def test_wrong_length_rejected(self):
         with pytest.raises(MalformedInputError):
             ShiftPermutation(num_vertices=2, degree=2, images=np.array([1, 2]))
+        with pytest.raises(MalformedInputError):
+            ShiftPermutation(num_vertices=2, degree=1, images=[[1], [2, 3]])  # ragged

@@ -105,6 +105,10 @@ class TestSpectrum:
             Spectrum(values=np.array([1.0, 2.0]), tolerance=1e-8)  # increasing
         with pytest.raises(MalformedInputError):
             Spectrum(values=np.array([1.0]), tolerance=-1.0)
+        with pytest.raises(MalformedInputError):
+            Spectrum(values=[[1], [2, 3]], tolerance=0.0)  # ragged
+        with pytest.raises(MalformedInputError):
+            Spectrum(values=["a"], tolerance=0.0)  # not a number
 
     @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.nan], [np.nan]])
     def test_nan_values_rejected(self, values):
