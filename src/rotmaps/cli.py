@@ -137,19 +137,20 @@ def cmd_spectrum(args) -> int:
         return 0
     a2 = _load_adj(args.path2)
     report = product_property_check(a1, a2, spectrum_tol=args.spectrum_tol)
+    failures = report.failures()
 
-    def mark(ok):
-        return "PASS" if ok else "FAIL"
+    def mark(name):
+        return "FAIL" if name in failures else "PASS"
 
     print(f"vertices: {report.vertices_actual} (expected {report.vertices_expected}) "
-          f"{mark(report.vertices_ok)}")
+          f"{mark('vertex-count')}")
     print(f"regularity: {report.degree_actual} (expected {report.degree_expected}) "
-          f"{mark(report.degree_ok)}")
+          f"{mark('regularity')}")
     print(f"edges: {report.edges_actual} (expected {report.edges_expected}) "
-          f"{mark(report.edges_ok)}")
+          f"{mark('edge-count')}")
     print(f"spectrum additivity: max deviation {report.spectrum_deviation:.3e} "
-          f"(tolerance {report.spectrum_tolerance:g}) {mark(report.spectrum_ok)}")
-    return 0 if report.all_hold else 1
+          f"(tolerance {report.spectrum_tolerance:g}) {mark('spectrum-additivity')}")
+    return 1 if failures else 0
 
 
 def cmd_export(args) -> int:

@@ -43,6 +43,32 @@ __all__ = [
 ]
 
 
+def _equal_by(*fields: str):
+    """Class decorator: ``==`` and ``hash`` by the values of ``fields``, a table last.
+
+    Two tables are equal when their shapes are and ``np.array_equal`` holds,
+    and a table is hashed as its shape and bytes; the other fields are
+    compared and hashed as they are.
+    """
+    def decorate(cls):
+        def __eq__(self, other):
+            if not isinstance(other, cls):
+                return NotImplemented
+            *mine, a = (getattr(self, name) for name in fields)
+            *theirs, b = (getattr(other, name) for name in fields)
+            return mine == theirs and a.shape == b.shape and bool(np.array_equal(a, b))
+
+        def __hash__(self):
+            *scalars, table = (getattr(self, name) for name in fields)
+            return hash((*scalars, table.shape, table.tobytes()))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        return cls
+
+    return decorate
+
+
+@_equal_by("entries")
 @dataclasses.dataclass(frozen=True, eq=False)
 class RotationMatrix:
     """Matrix form of a rotation map.
@@ -98,16 +124,6 @@ class RotationMatrix:
         defects = _Defects(([] if valid else _check(self.entries)) + _column_repeats(self.entries))
         return ValidationReport(is_valid_map=valid, is_consistent=valid and not defects,
                                 violations=defects)
-
-    def __eq__(self, other):
-        if not isinstance(other, RotationMatrix):
-            return NotImplemented
-        return self.entries.shape == other.entries.shape and bool(
-            np.array_equal(self.entries, other.entries)
-        )
-
-    def __hash__(self):
-        return hash((self.entries.shape, self.entries.tobytes()))
 
     def __repr__(self):
         return f"RotationMatrix(num_vertices={self.num_vertices}, degree={self.degree})"

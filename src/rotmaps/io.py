@@ -10,26 +10,12 @@ parse(format(x)) == x is a hard guarantee:
 
 Every .rot and .perm token is a run of 1 to 18 ASCII digits; leading
 zeros are read, and any other token (``+7``, ``-1``, ``1_0``, a non-ASCII
-digit, 19 digits or more) is malformed.  Canonical .rot and .perm text is
-written by table look-up: the text of each id is formatted once, by
-repeated division by 10 over the ids 0..max rather than over the n*d
-cells, and then gathered per cell.  It is read in one pass over its
-bytes, with no loop over tokens or cells: one uint8 comparison finds the
-token ends and each value is built by Horner's rule in uint32 (uint64
-past 9 digits) from one uint8 gather per digit place; besides the index
-of token ends, each array of one element per token is uint8 or uint32 and
-made once, and the tables read are adopted by the map or permutation
-without a copy.  In .adj text each cell and the separator after it are
-read as one little-endian uint16: one subtraction of "0," over the whole
-text, and a fix-up of the last column for "\n", take every well-formed
-pair to 0 or 1, one max() checks them all, and the cells are narrowed to
-uint8 once and adopted by the matrix.  Other whitespace layouts (tabs,
-padded tokens, no final newline, CRLF in .adj) are read in the same pass
-after one pass over their lines that re-joins the tokens: by single
-spaces in .rot and .perm, with nothing between them in .adj.  The byte
-pass is the only reader that builds a table; text it refuses is read
-row by row only to name the first malformed row, and an error quotes at
-most 80 characters of a token or line.
+digit, 19 digits or more) is malformed.  Canonical text is written and
+read with no loop over its tokens or cells; other whitespace layouts
+(tabs, padded tokens, no final newline, CRLF in .adj) are read after one
+pass over their lines that re-joins the tokens.  Refused text is read row
+by row only to name its first malformed row, and an error quotes at most
+80 characters of a token or line.
 
 An ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
 line ends is refused before any array is made.

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import RotationMatrix, _array, _frozen, _require_valid, to_full_form
+from .core import RotationMatrix, _array, _equal_by, _frozen, _require_valid, to_full_form
 from .exceptions import InconsistentInputWarning, MalformedInputError
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 
+@_equal_by("num_vertices", "degree", "images")
 @dataclasses.dataclass(frozen=True, eq=False)
 class ShiftPermutation:
     """Candidate permutation on the N*d darts of a degree-d graph on N vertices.
@@ -33,7 +34,8 @@ class ShiftPermutation:
     any other is copied into one.  Construction only checks
     shapes and value ranges; bijectivity and involutivity are checked by
     :func:`verify_unitary`, so defective tables can be represented and
-    rejected there.
+    rejected there.  Permutations are equal when their vertex counts,
+    degrees and images are.
     """
 
     num_vertices: int

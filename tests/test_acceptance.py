@@ -25,7 +25,6 @@ from rotmaps import (
     solve_backtracking,
     solve_matching,
     spectrum,
-    spectrum_deviation,
     validate,
     verify_unitary,
 )
@@ -196,5 +195,5 @@ def test_criterion_10_petersen_step_1_is_prism():
     for n in range(3, 9):
         gp_spec = spectrum(adjacency_from_rotation(generalized_petersen(n, 1)))
         prism_spec = spectrum(cartesian_adjacency(adjacency_from_rotation(cycle(n)), k2_adj))
-        assert spectrum_deviation(gp_spec, prism_spec) <= SPECTRUM_TOL, n
+        assert np.max(np.abs(gp_spec.values - prism_spec.values)) <= SPECTRUM_TOL, n
     print("criterion 10 (GP(n,1) spectra match ring-times-edge products, n=3..8): PASS")

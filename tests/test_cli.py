@@ -327,6 +327,25 @@ class TestAdjacencyCommands:
         assert "regularity: 4" in out
         assert "edges: 48" in out
 
+    def test_spectrum_pair_failing_report(self, tmp_path, capsys, monkeypatch):
+        fabricated = rotmaps.adjacency.ProductPropertyReport(
+            vertices_expected=6, vertices_actual=5,
+            degree_expected=3, degree_actual=3,
+            edges_expected=9, edges_actual=9,
+            spectrum_deviation=1.0, spectrum_tolerance=1e-8,
+        )
+        monkeypatch.setattr("rotmaps.cli.product_property_check",
+                            lambda a1, a2, spectrum_tol: fabricated)
+        k2_adj = write(tmp_path, "k2.adj", "0,1\n1,0\n")
+        k3_adj = write(tmp_path, "k3.adj", "0,1,1\n1,0,1\n1,1,0\n")
+        assert main(["spectrum", k2_adj, k3_adj]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "vertices: 5 (expected 6) FAIL",
+            "regularity: 3 (expected 3) PASS",
+            "edges: 9 (expected 9) PASS",
+            "spectrum additivity: max deviation 1.000e+00 (tolerance 1e-08) FAIL",
+        ]
+
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_spectrum_bad_tolerance_is_one_error_line(self, tmp_path, capsys, tol):
         c6 = write(tmp_path, "c6.adj", format_adj(adjacency_from_rotation(cycle(6))))

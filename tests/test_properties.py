@@ -283,6 +283,7 @@ def test_rot_and_perm_round_trip(rot):
     perm = format_perm(shift)
     parsed = parse_perm(perm)
     assert np.array_equal(parsed.images, shift.images)
+    assert parsed == shift and hash(parsed) == hash(shift)
     assert format_perm(parsed) == perm
 
 

@@ -117,6 +117,13 @@ class TestShiftPermutation:
         images.setflags(write=False)
         assert ShiftPermutation(num_vertices=2, degree=2, images=images).images is images
 
+    def test_equality_and_hash(self):
+        shift = ShiftPermutation(num_vertices=2, degree=2, images=np.array([2, 1, 4, 3]))
+        same = ShiftPermutation(num_vertices=2, degree=2, images=[2, 1, 4, 3])
+        assert shift == same and hash(shift) == hash(same)
+        assert shift != ShiftPermutation(num_vertices=2, degree=2, images=np.array([2, 1, 3, 4]))
+        assert shift != ShiftPermutation(num_vertices=4, degree=1, images=np.array([2, 1, 4, 3]))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(MalformedInputError):
             ShiftPermutation(num_vertices=2, degree=2, images=np.array([1, 2]))

@@ -26,8 +26,6 @@ from rotmaps import (
     hypercube,
     product_property_check,
     spectrum,
-    spectrum_deviation,
-    sum_spectra,
 )
 from rotmaps.cli import main
 from rotmaps.io import format_adj
@@ -118,14 +116,6 @@ class TestSpectrum:
     def test_nan_tolerance_rejected(self):
         with pytest.raises(MalformedInputError, match="tolerance must be nonnegative"):
             Spectrum(values=np.array([1.0, 0.0]), tolerance=float("nan"))
-
-    def test_sum_and_deviation(self):
-        s1 = Spectrum(values=np.array([1.0, -1.0]), tolerance=1e-10)
-        s2 = Spectrum(values=np.array([2.0, 0.0]), tolerance=1e-10)
-        summed = sum_spectra(s1, s2)
-        assert summed.values.tolist() == [3.0, 1.0, 1.0, -1.0]
-        assert spectrum_deviation(summed, summed) == 0.0
-        assert spectrum_deviation(s1, summed) == float("inf")
 
 
 class TestProductPropertyCheck:
