@@ -225,8 +225,8 @@ def _require_order(n: int, what: str, limit: int) -> None:
 class ProductPropertyReport:
     """Checked guarantees of a box product against its factors.
 
-    Each guarantee is an expected and an actual figure; :meth:`failures`
-    states the four checks on them.
+    Each guarantee is recorded as two figures; :meth:`failures` states the
+    four checks on them.
     """
 
     vertices_expected: int
