@@ -102,7 +102,7 @@ class AdjacencyMatrix:
         return RotationMatrix(cells.reshape(n, d))
 
     def edge_count(self) -> int:
-        return np.count_nonzero(self.matrix) // 2
+        return int(np.count_nonzero(self.matrix)) // 2
 
     def __repr__(self):
         return f"AdjacencyMatrix(order={self.order})"

@@ -31,7 +31,7 @@ import itertools
 
 import numpy as np
 
-from .exceptions import InvalidRotationMapError, MalformedInputError
+from .exceptions import InvalidRotationMapError, MalformedInputError, ParameterError
 
 __all__ = [
     "RotationMatrix",
@@ -41,6 +41,14 @@ __all__ = [
     "is_consistent",
     "to_full_form",
 ]
+
+MAX_DARTS = 20 * 2**20  # the darts of Q20, the largest hypercube, cap every generated table
+
+
+def _require_darts(darts: int, what: str) -> None:
+    """Raise ParameterError when a table of ``darts`` darts would exceed MAX_DARTS."""
+    if darts > MAX_DARTS:
+        raise ParameterError(f"{what} has {darts} darts, above the limit of {MAX_DARTS}")
 
 
 def _equal_by(*fields: str):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RotationMatrix
+from .core import MAX_DARTS, RotationMatrix, _require_darts
 from .exceptions import ParameterError
 
 __all__ = [
@@ -25,14 +25,6 @@ __all__ = [
 # Q20 has 2**20 vertices and 20 * 2**20 int64 entries (168 MB), and validating
 # it sorts as many keys again; each further dimension more than doubles both.
 MAX_HYPERCUBE_DIMENSION = 20
-# Q20's dart count is the ceiling for every generated table.
-MAX_DARTS = MAX_HYPERCUBE_DIMENSION * 2**MAX_HYPERCUBE_DIMENSION
-
-
-def _require_darts(darts: int, what: str) -> None:
-    """Raise ParameterError when a table of ``darts`` darts would exceed MAX_DARTS."""
-    if darts > MAX_DARTS:
-        raise ParameterError(f"{what} has {darts} darts, above the limit of {MAX_DARTS}")
 
 
 def cycle(n: int) -> RotationMatrix:

@@ -21,12 +21,12 @@ An ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
 line ends is refused before any array is made.
 
 Plus one-way exports: DOT (undirected graph, each edge labeled with its two
-ports) and JSON (``{"n":…,"d":…,"rot":[[…]]}``).
+ports) and JSON (``{"n":…,"d":…,"rot":[[…]]}``), written by the .rot writer
+with a byte after each column that str.replace turns into their separators.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NoReturn
 
@@ -81,21 +81,23 @@ def _unsigned(top: int) -> type:
     return np.uint32 if top < 2**32 else np.uint64
 
 
-def _format_rows(header: str, table: np.ndarray) -> str:
-    """``header`` then one line per row of a positive table, its entries space-separated.
+def _format_rows(header: str, table: np.ndarray, ends: bytes = b"") -> str:
+    """``header`` then each row of a positive table, ``ends[k]`` after each entry of column k.
 
-    The text of each candidate value is built once and then gathered by
-    value, with no loop over the table's cells.  The candidates are 0..top,
-    so that value v is candidate v, when the largest entry ``top`` is below
-    the number of cells, as in every .rot and .perm table (ids up to n,
-    ports up to d), and else the cells themselves.  Each candidate's digits
-    sit right-aligned in a slot of 8 bytes, or a multiple of 8 past 7
-    digits, after NUL padding and before one space, filled by repeated
-    division by 10.  One gather lays the slots out cell by cell in a buffer
-    after the NUL-padded header, ``\n`` replaces the space of each row's
-    last cell, and one translate drops the padding.
+    By default ``ends`` is a space for each column but the last and ``\n``
+    for the last.  Each candidate value's text is built once and gathered
+    by value, with no loop over the cells.  The candidates are 0..top when
+    the largest entry ``top`` is below the number of cells, as in every
+    .rot and .perm table (ids up to n, ports up to d), and else the cells
+    themselves.  Each candidate's digits sit right-aligned in a slot of 8
+    bytes, or a multiple of 8 past 7 digits, after NUL padding and before
+    the byte most columns end with, filled by repeated division by 10.  One
+    gather lays the slots out after the NUL-padded header, the other end
+    bytes are written over theirs, and one translate drops the padding.
     """
     rows, width = table.shape
+    ends = np.frombuffer(ends or b" " * (width - 1) + b"\n", dtype=np.uint8)
+    common = np.bincount(ends).argmax()
     top = int(table.max())
     if top < table.size:
         values, index = np.arange(top + 1, dtype=_unsigned(top)), table
@@ -104,7 +106,7 @@ def _format_rows(header: str, table: np.ndarray) -> str:
         index = np.arange(table.size).reshape(rows, width)
     places = len(str(top))
     slots = np.zeros((values.size, 8 * (places // 8 + 1)), dtype=np.uint8)
-    slots[:, -1] = ord(" ")
+    slots[:, -1] = common
     for column in range(-2, -2 - places, -1):  # least significant place first
         shown = values != 0  # leading zeros stay NUL; no entry is 0
         values, digit = np.divmod(values, 10)
@@ -118,7 +120,7 @@ def _format_rows(header: str, table: np.ndarray) -> str:
     # every index is in range, and mode="clip" lets take write into out unbuffered
     np.take(slots.view(np.uint64), index, axis=0, out=cells, mode="clip")
     del slots, index  # each array goes once spent, which lowers the peak
-    cells.view(np.uint8).reshape(rows, -1)[:, -1] = ord("\n")
+    cells.view(np.uint8)[:, ends != common, -1] = ends[ends != common]
     del cells
     text = buf.translate(None, b"\0")
     del buf
@@ -403,13 +405,17 @@ def format_dot(rot: RotationMatrix) -> str:
     The lower-numbered endpoint's port comes first.
     """
     n, d = rot.entries.shape
-    darts = np.stack([np.repeat(np.arange(1, n + 1), d), rot.entries.ravel(),
+    edges = np.stack([np.repeat(np.arange(1, n + 1), d), rot.entries.ravel(),
                       np.tile(np.arange(1, d + 1), n), to_full_form(rot).ravel()], axis=1)
-    edges = darts[darts[:, 0] < darts[:, 1]]
-    lines = '  %d -- %d [label="%d|%d"];\n' * len(edges) % tuple(edges.ravel().tolist())
-    return "graph G {\n" + lines + "}\n"
+    edges = edges[edges[:, 0] < edges[:, 1]]  # the table of all darts goes before the gather
+    text = _format_rows("", edges, b"\1\2\3\4")
+    del edges
+    for end, between in zip("\1\2\3\4", (" -- ", ' [label="', "|", '"];\n  ')):
+        text = text.replace(end, between)
+    return f"graph G {{\n  {text[1:-2]}}}\n"  # less the empty header's "\n" and the last "  "
 
 
 def format_json(rot: RotationMatrix) -> str:
-    payload = {"n": rot.num_vertices, "d": rot.degree, "rot": rot.entries.tolist()}
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    text = _format_rows("", rot.entries, b"," * (rot.degree - 1) + b"\n").replace("\n", "],[")
+    # text is "],[" and then each row, its entries comma-separated and ended by "],["
+    return f'{{"n":{rot.num_vertices},"d":{rot.degree},"rot":[{text[2:-2]}]}}\n'

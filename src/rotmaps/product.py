@@ -21,9 +21,8 @@ import warnings
 
 import numpy as np
 
-from .core import RotationMatrix, _require_valid
+from .core import RotationMatrix, _require_darts, _require_valid
 from .exceptions import InconsistentInputWarning
-from .families import _require_darts
 
 __all__ = ["cartesian_rotation"]
 

@@ -110,6 +110,7 @@ class TestOneBytePerCell:
         adj = AdjacencyMatrix(1 - np.eye(300, dtype=np.uint8))
         assert adj.degree() == 299
         assert adj.edge_count() == 44850
+        assert type(adj.edge_count()) is int
         assert rotation_from_adjacency(adj).entries[299].tolist() == list(range(1, 300))
 
 

@@ -140,6 +140,10 @@ class TestParameterDomains:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_dart_ceiling_is_the_largest_hypercube(self):
+        # core states the ceiling on its own, as it cannot import families
+        assert MAX_DARTS == MAX_HYPERCUBE_DIMENSION * 2**MAX_HYPERCUBE_DIMENSION
+
     def test_cycle_fills_one_table_in_place(self):
         # its columns are filled in place and the map adopts the table
         tracemalloc.start()

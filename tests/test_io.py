@@ -350,19 +350,25 @@ class TestCanonicalReadMemory:
 
 
 class TestCanonicalWriteMemory:
-    # Each bound sits above the peak measured on C400 x C250 (3.1 times the
-    # text for format_rot, 5.2 times for format_perm) and below the 8.7 and
-    # 11.9 times that a %-format over a tuple of Python ints takes, so a
-    # return to one fails.  Both peaks come while np.take gathers the slots:
-    # the slot buffer beside the index as intp, which take copies from the
-    # read-only table of ids or from the uint32 table of darts.
+    # Each bound is a multiple of the written text, and sits above the peak
+    # measured on C400 x C250 (3.1 times the text for format_rot, 5.2 times
+    # for format_perm, 3.3 for format_dot and 3.0 for format_json) and below
+    # what each writer took when it made Python objects per entry: 8.7 and
+    # 11.9 times for a %-format of .rot and .perm over a tuple of Python
+    # ints, 8.0 for the per-edge %-format of DOT and 10.9 for json.dumps
+    # over nested lists, so a return to one fails.  The .rot and .perm peaks
+    # come while np.take gathers the slots: the slot buffer beside the index
+    # as intp, which take copies from the read-only table of ids or from the
+    # uint32 table of darts.
     @pytest.mark.parametrize("kind,parse,write,bound", [
         ("rot", parse_rot, format_rot, 4.5),
         ("perm", parse_perm, format_perm, 7.0),
+        ("rot", parse_rot, format_dot, 6.0),
+        ("rot", parse_rot, format_json, 4.0),
     ])
     def test_peak_on_100k_vertices(self, torus_texts, kind, parse, write, bound):
-        text = torus_texts[kind]
-        table = parse(text)
+        table = parse(torus_texts[kind])
+        text = write(table)  # for .rot and .perm, the text just parsed
         assert traced_peak(lambda: write(table)) < bound * len(text)
 
 

@@ -11,15 +11,18 @@ cell-by-cell read it used for non-canonical text, on every text, and
 and ``reference_parse_perm``, in the table or in the error message, also
 at the byte pass's limits of token length and range, and
 ``format_rot``/``format_perm`` with the ``%``-format writer
-``reference_format_rows``, byte for byte.  The library's row readers only
-name errors, so a byte pass that wrongly refuses good text fails these
-comparisons.  Canonical text, and CRLF .rot and .perm text, must be read
-without a re-join of its lines, since the re-joined text would read the
-same.
+``reference_format_rows``, byte for byte, as must ``format_dot`` and
+``format_json`` with ``reference_format_dot`` and ``reference_format_json``,
+the per-edge ``%``-format and the ``json.dumps`` exports they replaced.
+The library's row readers only name errors, so a byte pass that wrongly
+refuses good text fails these comparisons.  Canonical text, and CRLF .rot
+and .perm text, must be read without a re-join of its lines, since the
+re-joined text would read the same.
 ``solve_matching`` must write the same ``.rot`` text as
 ``reference_solve_matching``, the per-arc loop it replaced.
 """
 
+import json
 import re
 import warnings
 
@@ -59,6 +62,8 @@ from rotmaps import (
 from rotmaps.io import (
     _format_rows,
     format_adj,
+    format_dot,
+    format_json,
     format_perm,
     format_rot,
     parse_adj,
@@ -813,6 +818,22 @@ def reference_format_perm(shift):
     return reference_format_rows(f"{shift.num_vertices} {d}", darts)
 
 
+def reference_format_dot(rot):
+    """The DOT export that ``%``-formatted a tuple of four Python ints per edge."""
+    n, d = rot.entries.shape
+    darts = np.stack([np.repeat(np.arange(1, n + 1), d), rot.entries.ravel(),
+                      np.tile(np.arange(1, d + 1), n), to_full_form(rot).ravel()], axis=1)
+    edges = darts[darts[:, 0] < darts[:, 1]]
+    lines = '  %d -- %d [label="%d|%d"];\n' * len(edges) % tuple(edges.ravel().tolist())
+    return "graph G {\n" + lines + "}\n"
+
+
+def reference_format_json(rot):
+    """The JSON export that ran ``json.dumps`` over the table as nested lists."""
+    payload = {"n": rot.num_vertices, "d": rot.degree, "rot": rot.entries.tolist()}
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
 def first_difference(text, expected):
     """None, or the first line where two texts differ, with both versions of it.
 
@@ -849,6 +870,13 @@ def test_format_perm_matches_reference(shape):
     n, d, rng = shape
     shift = ShiftPermutation(num_vertices=n, degree=d, images=rng.integers(1, n * d + 1, n * d))
     assert first_difference(format_perm(shift), reference_format_perm(shift)) is None
+
+
+@PROPERTY
+@given(valid_maps())
+def test_exports_match_reference(rot):
+    assert first_difference(format_dot(rot), reference_format_dot(rot)) is None
+    assert first_difference(format_json(rot), reference_format_json(rot)) is None
 
 
 @PROPERTY
@@ -890,3 +918,5 @@ def test_format_rot_and_perm_match_reference_at_digit_boundaries(rot):
     assert first_difference(format_rot(rot), reference_format_rot(rot)) is None
     shift = build_shift(rot)
     assert first_difference(format_perm(shift), reference_format_perm(shift)) is None
+    assert first_difference(format_dot(rot), reference_format_dot(rot)) is None
+    assert first_difference(format_json(rot), reference_format_json(rot)) is None

@@ -132,6 +132,7 @@ class TestProductPropertyCheck:
         report = product_property_check(c6, c4)
         assert report.all_hold
         assert (report.vertices_actual, report.degree_actual, report.edges_actual) == (24, 4, 48)
+        assert type(report.edges_actual) is int
 
     def test_c3_by_c3_spectrum_multiset(self):
         c3 = adjacency_from_rotation(cycle(3))
