@@ -13,9 +13,11 @@ zeros are read, and any other token (``+7``, ``-1``, ``1_0``, a non-ASCII
 digit, 19 digits or more) is malformed.  Canonical text is written and
 read with no loop over its tokens or cells; other whitespace layouts
 (tabs, padded tokens, no final newline, CRLF in .adj) are read after one
-pass over their lines that re-joins the tokens.  Refused text is read row
-by row only to name its first malformed row, and an error quotes at most
-80 characters of a token or line.
+pass over their lines that re-joins the tokens.  A .perm line is written
+as two 8-byte dart words, each ``v i `` right-aligned after NUL padding,
+when ``len(str(N)) + len(str(d)) + 2 <= 8``, and else as its four values.
+Refused text is read row by row only to name its first malformed row, and
+an error quotes at most 80 characters of a token or line.
 
 An ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
 line ends is refused before any array is made.
@@ -81,46 +83,58 @@ def _unsigned(top: int) -> type:
     return np.uint32 if top < 2**32 else np.uint64
 
 
-def _format_rows(header: str, table: np.ndarray, ends: bytes = b"") -> str:
-    """``header`` then each row of a positive table, ``ends[k]`` after each entry of column k.
+def _slots(values: np.ndarray, end: int) -> np.ndarray:
+    """Each value's text in a uint8 slot of 8 bytes, or a multiple of 8 past 7 digits.
+
+    The digits sit right-aligned after NUL padding and before the byte
+    ``end``, filled by repeated division by 10; a 0 shows no digit.
+    """
+    places = len(str(int(values.max())))
+    slots = np.zeros((values.size, 8 * (places // 8 + 1)), dtype=np.uint8)
+    slots[:, -1] = end
+    for column in range(-2, -2 - places, -1):  # least significant place first
+        shown = values != 0  # leading zeros stay NUL
+        values, digit = np.divmod(values, 10)
+        slots[:, column] = (digit + ord("0")) * shown
+    return slots
+
+
+def _format_rows(header: str, table: np.ndarray, ends: bytes = b"",
+                 slots: np.ndarray | None = None) -> str:
+    """``header`` then each row of a table, ``ends[k]`` after each entry of column k.
 
     By default ``ends`` is a space for each column but the last and ``\n``
-    for the last.  Each candidate value's text is built once and gathered
-    by value, with no loop over the cells.  The candidates are 0..top when
-    the largest entry ``top`` is below the number of cells, as in every
-    .rot and .perm table (ids up to n, ports up to d), and else the cells
-    themselves.  Each candidate's digits sit right-aligned in a slot of 8
-    bytes, or a multiple of 8 past 7 digits, after NUL padding and before
-    the byte most columns end with, filled by repeated division by 10.  One
-    gather lays the slots out after the NUL-padded header, the other end
-    bytes are written over theirs, and one translate drops the padding.
+    for the last.  Each entry is written as the row of uint8 ``slots`` it
+    indexes, a text right-aligned after NUL padding in a multiple of 8
+    bytes and ended by ``ends[0]``.  By default the table is positive and
+    each text is built once and gathered by value, with no loop over the
+    cells: the texts of 0..top when the largest entry ``top`` is below the
+    number of cells, as in every .rot and .perm table (ids up to n, ports
+    up to d), and else those of the cells themselves.  One gather lays the
+    slots out after the NUL-padded header, the end bytes that differ from
+    ``ends[0]`` are written over theirs, and one translate drops the
+    padding.  The table and slots are freed once gathered, so a caller
+    that passes them as temporaries lowers the peak.
     """
     rows, width = table.shape
     ends = np.frombuffer(ends or b" " * (width - 1) + b"\n", dtype=np.uint8)
-    common = np.bincount(ends).argmax()
-    top = int(table.max())
-    if top < table.size:
-        values, index = np.arange(top + 1, dtype=_unsigned(top)), table
-    else:
-        values = table.astype(_unsigned(top)).ravel()
-        index = np.arange(table.size).reshape(rows, width)
-    places = len(str(top))
-    slots = np.zeros((values.size, 8 * (places // 8 + 1)), dtype=np.uint8)
-    slots[:, -1] = common
-    for column in range(-2, -2 - places, -1):  # least significant place first
-        shown = values != 0  # leading zeros stay NUL; no entry is 0
-        values, digit = np.divmod(values, 10)
-        slots[:, column] = (digit + ord("0")) * shown
-    del values, digit, shown
+    if slots is None:
+        top = int(table.max())
+        if top < table.size:
+            slots = _slots(np.arange(top + 1, dtype=_unsigned(top)), ends[0])
+        else:
+            slots = _slots(table.astype(_unsigned(top)).ravel(), ends[0])
+            table = np.arange(table.size).reshape(rows, width)
     head = f"{header}\n".encode("ascii")
     head = head.rjust(len(head) + -len(head) % 8, b"\0")  # cells start on a word; NULs go
     buf = bytearray(len(head) + table.size * slots.shape[1])
     buf[:len(head)] = head
     cells = np.frombuffer(buf, dtype=np.uint64, offset=len(head)).reshape(rows, width, -1)
     # every index is in range, and mode="clip" lets take write into out unbuffered
-    np.take(slots.view(np.uint64), index, axis=0, out=cells, mode="clip")
-    del slots, index  # each array goes once spent, which lowers the peak
-    cells.view(np.uint8)[:, ends != common, -1] = ends[ends != common]
+    np.take(slots.view(np.uint64), table, axis=0, out=cells, mode="clip")
+    del slots, table  # each array goes once spent, which lowers the peak
+    other = ends != ends[0]
+    cells.view(np.uint8)[:, other, -1] = ends[other]
     del cells
     text = buf.translate(None, b"\0")
     del buf
@@ -334,13 +348,50 @@ def parse_adj(text: str) -> AdjacencyMatrix:
     return AdjacencyMatrix(cells)
 
 
-def format_perm(shift: ShiftPermutation) -> str:
-    d = shift.degree
-    dtype = _unsigned(shift.size)
-    darts = np.stack([*np.divmod(np.arange(shift.size, dtype=dtype), d),
-                      *np.divmod(shift.images.astype(dtype) - 1, d)], axis=1)
+def _dart_words(n: int, d: int) -> np.ndarray:
+    """The text ``v i `` of each dart (v, i) of a degree-d map on n vertices, in an 8-byte slot.
+
+    It fits when ``len(str(n)) + len(str(d)) + 2 <= 8``.  Read as a
+    little-endian word, the vertex slot shifted down by the width of the
+    port's text moves its text that many bytes left, and OR-ed with the
+    port slot makes the dart's; one broadcast does the ports of each digit
+    count.  Row 0 is unused, so dart k (1-indexed) is row k.
+    """
+    vertices = _slots(np.arange(1, n + 1, dtype=np.uint32), ord(" ")).view("<u8")
+    ports = _slots(np.arange(1, d + 1, dtype=np.uint32), ord(" ")).view("<u8")[:, 0]
+    words = np.zeros(1 + n * d, dtype="<u8")
+    grid = words[1:].reshape(n, d)
+    for places in range(1, len(str(d)) + 1):
+        first, stop = 10 ** (places - 1) - 1, min(10**places - 1, d)  # columns of these ports
+        np.right_shift(vertices, 8 * (places + 1), out=grid[:, first:stop])
+        grid[:, first:stop] |= ports[first:stop]
+    return words.view(np.uint8).reshape(-1, 8)
+
+
+def _dart_table(shift: ShiftPermutation) -> np.ndarray:
+    """The rows ``v i w j`` of a shift, as intp so that the gather takes them without a copy."""
+    darts = np.empty((shift.size, 4), dtype=np.intp)
+    np.divmod(np.arange(shift.size), shift.degree, out=(darts[:, 0], darts[:, 1]))
+    np.divmod(shift.images - 1, shift.degree, out=(darts[:, 2], darts[:, 3]))
     darts += 1
-    return _format_rows(f"{shift.num_vertices} {d}", darts)
+    return darts
+
+
+def format_perm(shift: ShiftPermutation) -> str:
+    """Canonical .perm text: each line is the text of a dart and then of its image.
+
+    When ``v i `` fits one 8-byte word for every dart, each line is two
+    gathered words, dart k's and its image's, with ``\n`` over the second
+    one's last byte; otherwise each of v, i, w and j is gathered by value.
+    Every array is passed as a temporary, so the writer frees it once
+    gathered.
+    """
+    n, d = shift.num_vertices, shift.degree
+    if len(str(n)) + len(str(d)) + 2 <= 8:
+        return _format_rows(f"{n} {d}",
+                            np.stack([np.arange(1, shift.size + 1), shift.images], axis=1),
+                            b" \n", _dart_words(n, d))
+    return _format_rows(f"{n} {d}", _dart_table(shift))
 
 
 def _perm_lines(text: str) -> NoReturn:

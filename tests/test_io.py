@@ -351,18 +351,21 @@ class TestCanonicalReadMemory:
 
 class TestCanonicalWriteMemory:
     # Each bound is a multiple of the written text, and sits above the peak
-    # measured on C400 x C250 (3.1 times the text for format_rot, 5.2 times
+    # measured on C400 x C250 (3.1 times the text for format_rot, 4.2 times
     # for format_perm, 3.3 for format_dot and 3.0 for format_json) and below
     # what each writer took when it made Python objects per entry: 8.7 and
     # 11.9 times for a %-format of .rot and .perm over a tuple of Python
     # ints, 8.0 for the per-edge %-format of DOT and 10.9 for json.dumps
-    # over nested lists, so a return to one fails.  The .rot and .perm peaks
-    # come while np.take gathers the slots: the slot buffer beside the index
-    # as intp, which take copies from the read-only table of ids or from the
-    # uint32 table of darts.
+    # over nested lists, so a return to one fails.  The .perm bound is also
+    # below the 5.2 times taken when np.take copied a uint32 table of darts
+    # to intp.  The .rot and .perm peaks come while np.take gathers the
+    # slots: the slot buffer beside the index, the read-only table of ids or
+    # the intp table of darts.  C300 x C300 takes the one-word .perm path,
+    # which gathers one word per dart and its image's from a table of dart
+    # words: 2.5 times its text, against 4.2 on the four-column path.
     @pytest.mark.parametrize("kind,parse,write,bound", [
         ("rot", parse_rot, format_rot, 4.5),
-        ("perm", parse_perm, format_perm, 7.0),
+        ("perm", parse_perm, format_perm, 5.0),
         ("rot", parse_rot, format_dot, 6.0),
         ("rot", parse_rot, format_json, 4.0),
     ])
@@ -370,6 +373,11 @@ class TestCanonicalWriteMemory:
         table = parse(torus_texts[kind])
         text = write(table)  # for .rot and .perm, the text just parsed
         assert traced_peak(lambda: write(table)) < bound * len(text)
+
+    def test_one_word_perm_peak_on_90k_vertices(self):
+        shift = build_shift(cartesian_rotation(cycle(300), cycle(300)))
+        text = format_perm(shift)
+        assert traced_peak(lambda: format_perm(shift)) < 3.5 * len(text)
 
 
 class TestExports:

@@ -910,10 +910,16 @@ def test_format_rows_matches_reference_where_a_slot_grows(top):
     assert first_difference(_format_rows("h", table), reference_format_rows("h", table)) is None
 
 
+# format_perm writes "v i " in one 8-byte word per dart when
+# len(str(n)) + len(str(d)) + 2 <= 8, and else each of v, i, w and j by
+# value: C99999 and Q13 take the first path, C100000 and Q14 the second,
+# and the rows of K150 hold ports of 1, 2 and 3 digits.
 @pytest.mark.parametrize("rot", [
-    cycle(9), cycle(10), cycle(99), cycle(100), cycle(999), cycle(1000), cycle(10**5),
-    RotationMatrix([[2], [1]]), hypercube(12),
-], ids=["C9", "C10", "C99", "C100", "C999", "C1000", "C100000", "K2", "Q12"])
+    cycle(9), cycle(10), cycle(99), cycle(100), cycle(999), cycle(1000), cycle(99999),
+    cycle(10**5), RotationMatrix([[2], [1]]), hypercube(12), hypercube(13), hypercube(14),
+    complete(150),
+], ids=["C9", "C10", "C99", "C100", "C999", "C1000", "C99999", "C100000", "K2", "Q12", "Q13",
+        "Q14", "K150"])
 def test_format_rot_and_perm_match_reference_at_digit_boundaries(rot):
     assert first_difference(format_rot(rot), reference_format_rot(rot)) is None
     shift = build_shift(rot)
