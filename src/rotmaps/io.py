@@ -14,8 +14,9 @@ digit, 19 digits or more) is malformed.  Canonical text is written and
 read with no loop over its tokens or cells; other whitespace layouts
 (tabs, padded tokens, no final newline, CRLF in .adj) are read after one
 pass over their lines that re-joins the tokens.  A .perm line is written
-as two 8-byte dart words, each ``v i `` right-aligned after NUL padding,
-when ``len(str(N)) + len(str(d)) + 2 <= 8``, and else as its four values.
+as the slots of its two darts: one 8-byte word holding ``v i ``
+right-aligned after NUL padding when ``len(str(N)) + len(str(d)) + 2 <= 8``,
+and else the value slots of v and of i, each so padded.
 Refused text is read row by row only to name its first malformed row, and
 an error quotes at most 80 characters of a token or line.
 
@@ -107,11 +108,11 @@ def _format_rows(header: str, table: np.ndarray, ends: bytes = b"",
     for the last.  Each entry is written as the row of uint8 ``slots`` it
     indexes, a text right-aligned after NUL padding in a multiple of 8
     bytes and ended by ``ends[0]``.  By default the table is positive and
-    each text is built once and gathered by value, with no loop over the
-    cells: the texts of 0..top when the largest entry ``top`` is below the
-    number of cells, as in every .rot and .perm table (ids up to n, ports
-    up to d), and else those of the cells themselves.  One gather lays the
-    slots out after the NUL-padded header, the end bytes that differ from
+    the slots are the texts of 0..top, its largest entry, each built once
+    and gathered by value, with no loop over the cells.  Every caller's
+    ``top`` is at most its number of cells (ids up to n, ports up to d),
+    so those texts cost no more than the cells.  One gather lays the slots
+    out after the NUL-padded header, the end bytes that differ from
     ``ends[0]`` are written over theirs, and one translate drops the
     padding.  The table and slots are freed once gathered, so a caller
     that passes them as temporaries lowers the peak.
@@ -120,11 +121,7 @@ def _format_rows(header: str, table: np.ndarray, ends: bytes = b"",
     ends = np.frombuffer(ends or b" " * (width - 1) + b"\n", dtype=np.uint8)
     if slots is None:
         top = int(table.max())
-        if top < table.size:
-            slots = _slots(np.arange(top + 1, dtype=_unsigned(top)), ends[0])
-        else:
-            slots = _slots(table.astype(_unsigned(top)).ravel(), ends[0])
-            table = np.arange(table.size).reshape(rows, width)
+        slots = _slots(np.arange(top + 1, dtype=_unsigned(top)), ends[0])
     head = f"{header}\n".encode("ascii")
     head = head.rjust(len(head) + -len(head) % 8, b"\0")  # cells start on a word; NULs go
     buf = bytearray(len(head) + table.size * slots.shape[1])
@@ -348,50 +345,44 @@ def parse_adj(text: str) -> AdjacencyMatrix:
     return AdjacencyMatrix(cells)
 
 
-def _dart_words(n: int, d: int) -> np.ndarray:
-    """The text ``v i `` of each dart (v, i) of a degree-d map on n vertices, in an 8-byte slot.
+def _dart_slots(n: int, d: int) -> np.ndarray:
+    """The text ``v i `` of each dart (v, i) of a degree-d map on n vertices, in a uint8 slot.
 
-    It fits when ``len(str(n)) + len(str(d)) + 2 <= 8``.  Read as a
-    little-endian word, the vertex slot shifted down by the width of the
-    port's text moves its text that many bytes left, and OR-ed with the
-    port slot makes the dart's; one broadcast does the ports of each digit
-    count.  Row 0 is unused, so dart k (1-indexed) is row k.
+    When ``len(str(n)) + len(str(d)) + 2 <= 8`` the slot is one 8-byte
+    word: read as a little-endian word, the vertex slot shifted down by the
+    width of the port's text moves its text that many bytes left, and OR-ed
+    with the port slot makes the dart's; one broadcast does the ports of
+    each digit count.  Otherwise the slot is the vertex's value slot and
+    then the port's, each at its full width, written by two broadcasts.
+    Row 0 is unused, so dart k (1-indexed) is row k.
     """
     vertices = _slots(np.arange(1, n + 1, dtype=np.uint32), ord(" ")).view("<u8")
-    ports = _slots(np.arange(1, d + 1, dtype=np.uint32), ord(" ")).view("<u8")[:, 0]
+    ports = _slots(np.arange(1, d + 1, dtype=np.uint32), ord(" ")).view("<u8")
+    if len(str(n)) + len(str(d)) + 2 > 8:
+        slots = np.zeros((1 + n * d, vertices.shape[1] + ports.shape[1]), dtype="<u8")
+        grid = slots[1:].reshape(n, d, -1)
+        grid[:, :, :vertices.shape[1]] = vertices[:, None]
+        grid[:, :, vertices.shape[1]:] = ports
+        return slots.view(np.uint8)
     words = np.zeros(1 + n * d, dtype="<u8")
     grid = words[1:].reshape(n, d)
     for places in range(1, len(str(d)) + 1):
         first, stop = 10 ** (places - 1) - 1, min(10**places - 1, d)  # columns of these ports
         np.right_shift(vertices, 8 * (places + 1), out=grid[:, first:stop])
-        grid[:, first:stop] |= ports[first:stop]
+        grid[:, first:stop] |= ports[first:stop, 0]
     return words.view(np.uint8).reshape(-1, 8)
-
-
-def _dart_table(shift: ShiftPermutation) -> np.ndarray:
-    """The rows ``v i w j`` of a shift, as intp so that the gather takes them without a copy."""
-    darts = np.empty((shift.size, 4), dtype=np.intp)
-    np.divmod(np.arange(shift.size), shift.degree, out=(darts[:, 0], darts[:, 1]))
-    np.divmod(shift.images - 1, shift.degree, out=(darts[:, 2], darts[:, 3]))
-    darts += 1
-    return darts
 
 
 def format_perm(shift: ShiftPermutation) -> str:
     """Canonical .perm text: each line is the text of a dart and then of its image.
 
-    When ``v i `` fits one 8-byte word for every dart, each line is two
-    gathered words, dart k's and its image's, with ``\n`` over the second
-    one's last byte; otherwise each of v, i, w and j is gathered by value.
-    Every array is passed as a temporary, so the writer frees it once
-    gathered.
+    Each line is two gathered dart slots, dart k's and its image's, with
+    ``\n`` over the second one's last byte.  Every array is passed as a
+    temporary, so the writer frees it once gathered.
     """
     n, d = shift.num_vertices, shift.degree
-    if len(str(n)) + len(str(d)) + 2 <= 8:
-        return _format_rows(f"{n} {d}",
-                            np.stack([np.arange(1, shift.size + 1), shift.images], axis=1),
-                            b" \n", _dart_words(n, d))
-    return _format_rows(f"{n} {d}", _dart_table(shift))
+    return _format_rows(f"{n} {d}", np.stack([np.arange(1, shift.size + 1), shift.images], axis=1),
+                        b" \n", _dart_slots(n, d))
 
 
 def _perm_lines(text: str) -> NoReturn:

@@ -63,6 +63,9 @@ class TestAdjacencyMatrix:
         with pytest.raises(RegularityError):
             AdjacencyMatrix(PATH3_ADJ).degree()
 
+    def test_repr_names_the_order(self):
+        assert repr(AdjacencyMatrix(K3_ADJ)) == "AdjacencyMatrix(order=3)"
+
     def test_read_only(self):
         adj = AdjacencyMatrix(K2_ADJ)
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import rotmaps.adjacency
@@ -299,6 +300,21 @@ class TestAdjacencyCommands:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {error.__name__}: deep trouble"]
         assert "Traceback" not in err
+
+    def test_memory_error_in_the_writers_gather_is_one_line(self, tmp_path, capsys, monkeypatch):
+        take = np.take
+
+        def gather(*args, **kwargs):  # the writer's gather is the one take along an axis
+            if "axis" in kwargs:
+                raise MemoryError("no room for the text")
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", gather)
+        rot = write(tmp_path, "c5.rot", C5_FILE)
+        assert main(["shift", rot]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: MemoryError: no room for the text"]
 
     def test_interrupt_propagates(self, tmp_path, monkeypatch):
         def interrupt(args):

@@ -84,6 +84,14 @@ class TestConstruction:
         assert RotationMatrix(TRIANGLE) != RotationMatrix(ROW_SCAN_TRIANGLE)
         assert hash(RotationMatrix(TRIANGLE)) == hash(RotationMatrix(TRIANGLE))
 
+    def test_equality_with_another_type_is_left_to_it(self):
+        rot = RotationMatrix(TRIANGLE)
+        assert rot.__eq__("x") is NotImplemented
+        assert rot != "x" and not rot == TRIANGLE
+
+    def test_repr_names_the_shape(self):
+        assert repr(RotationMatrix(TRIANGLE)) == "RotationMatrix(num_vertices=3, degree=2)"
+
     @pytest.mark.parametrize("bad", [
         [2, 1],                        # 1-d
         [[2.0], [1.0]],                # floats

@@ -351,7 +351,7 @@ class TestCanonicalReadMemory:
 
 class TestCanonicalWriteMemory:
     # Each bound is a multiple of the written text, and sits above the peak
-    # measured on C400 x C250 (3.1 times the text for format_rot, 4.2 times
+    # measured on C400 x C250 (3.1 times the text for format_rot, 4.1 times
     # for format_perm, 3.3 for format_dot and 3.0 for format_json) and below
     # what each writer took when it made Python objects per entry: 8.7 and
     # 11.9 times for a %-format of .rot and .perm over a tuple of Python
@@ -360,9 +360,9 @@ class TestCanonicalWriteMemory:
     # below the 5.2 times taken when np.take copied a uint32 table of darts
     # to intp.  The .rot and .perm peaks come while np.take gathers the
     # slots: the slot buffer beside the index, the read-only table of ids or
-    # the intp table of darts.  C300 x C300 takes the one-word .perm path,
-    # which gathers one word per dart and its image's from a table of dart
-    # words: 2.5 times its text, against 4.2 on the four-column path.
+    # the table of each dart and its image.  A .perm line is the slots of
+    # those two darts: one 8-byte word each on C300 x C300, 2.5 times its
+    # text, and the 8-byte value slots of v and of i on C400 x C250.
     @pytest.mark.parametrize("kind,parse,write,bound", [
         ("rot", parse_rot, format_rot, 4.5),
         ("perm", parse_perm, format_perm, 5.0),

@@ -11,7 +11,8 @@ cell-by-cell read it used for non-canonical text, on every text, and
 and ``reference_parse_perm``, in the table or in the error message, also
 at the byte pass's limits of token length and range, and
 ``format_rot``/``format_perm`` with the ``%``-format writer
-``reference_format_rows``, byte for byte, as must ``format_dot`` and
+``reference_format_rows``, and the value slots of ``_slots`` with
+``reference_slots``, byte for byte, as must ``format_dot`` and
 ``format_json`` with ``reference_format_dot`` and ``reference_format_json``,
 the per-edge ``%``-format and the ``json.dumps`` exports they replaced.
 The library's row readers only name errors, so a byte pass that wrongly
@@ -28,7 +29,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotmaps.io
@@ -61,6 +62,8 @@ from rotmaps import (
 )
 from rotmaps.io import (
     _format_rows,
+    _slots,
+    _unsigned,
     format_adj,
     format_dot,
     format_json,
@@ -864,8 +867,12 @@ def test_format_rot_matches_reference(shape):
     assert first_difference(format_rot(rot), reference_format_rot(rot)) is None
 
 
+# Darts of 1000 vertices and 100 ports, or of 10 vertices and 10**5 ports, do
+# not fit one 8-byte word; their ports have 3 and 6 digits.
 @PROPERTY
 @given(wide_shapes())
+@example((1000, 100, np.random.default_rng(1000)))
+@example((10, 10**5, np.random.default_rng(10)))
 def test_format_perm_matches_reference(shape):
     n, d, rng = shape
     shift = ShiftPermutation(num_vertices=n, degree=d, images=rng.integers(1, n * d + 1, n * d))
@@ -879,21 +886,35 @@ def test_exports_match_reference(rot):
     assert first_difference(format_json(rot), reference_format_json(rot)) is None
 
 
+def reference_slots(values, end):
+    """Each value's text and ``end``, right-aligned after NUL padding in 8 bytes per 8 places."""
+    width = 8 * (len(str(max(values))) // 8 + 1)
+    return b"".join(f"{v}{end}".encode("ascii").rjust(width, b"\0") for v in values)
+
+
 @PROPERTY
-@given(st.integers(1, 6).flatmap(lambda width: st.lists(
-    st.lists(st.integers(1, 2**63 - 1) | st.integers(1, 10**5), min_size=width, max_size=width),
-    min_size=1, max_size=20)))
-def test_format_rows_matches_reference_up_to_int64_max(rows):
-    table = np.array(rows, dtype=np.int64)
-    assert first_difference(_format_rows("h", table), reference_format_rows("h", table)) is None
+@given(st.lists(st.integers(1, 2**63 - 1) | st.integers(1, 10**5), min_size=1, max_size=20))
+def test_slots_match_reference_up_to_int64_max(values):
+    slots = _slots(np.array(values, dtype=_unsigned(max(values))), ord(" "))
+    assert slots.tobytes() == reference_slots(values, " ")
 
 
-# The writer formats the values 0..top once when top is below the number of
-# cells, and else the cells themselves; each value's slot grows from 8 to 16
-# bytes past 7 digits and to 24 past 15.
+# Each value's slot grows from 8 to 16 bytes past 7 digits and to 24 past 15.
+@pytest.mark.parametrize("top,width", [
+    (9, 8), (10, 8), (10**7 - 1, 8), (10**7, 16), (10**15 - 1, 16), (10**15, 24), (2**63 - 1, 24),
+])
+def test_slots_match_reference_where_a_slot_grows(top, width):
+    edges = [1, 9, 10, 10**7 - 1, 10**7, 10**15 - 1, 10**15]
+    values = [v for v in edges if v < top] + [top - 1, top]
+    slots = _slots(np.array(values, dtype=_unsigned(top)), ord("\n"))
+    assert slots.shape == (len(values), width)
+    assert slots.tobytes() == reference_slots(values, "\n")
+
+
+# The writer formats the values 0..top once; every caller's top is at most
+# its number of cells.
 @pytest.mark.parametrize("top,cells", [
-    (9, 10), (9, 9), (9, 8), (10, 11), (10, 10), (10, 9),
-    (99, 100), (99, 99), (99, 98), (100, 101), (100, 100), (100, 99),
+    (9, 10), (9, 9), (10, 11), (10, 10), (99, 100), (99, 99), (100, 101), (100, 100),
 ])
 @pytest.mark.parametrize("rows", ["one row", "one column"])
 def test_format_rows_matches_reference_where_top_meets_the_cell_count(top, cells, rows):
@@ -903,17 +924,10 @@ def test_format_rows_matches_reference_where_top_meets_the_cell_count(top, cells
     assert first_difference(_format_rows("h", table), reference_format_rows("h", table)) is None
 
 
-@pytest.mark.parametrize("top", [9, 10, 10**7 - 1, 10**7, 10**15 - 1, 10**15, 2**63 - 1])
-def test_format_rows_matches_reference_where_a_slot_grows(top):
-    values = [1, 9, 10, 10**7 - 1, 10**7, 10**15 - 1, 10**15, top - 1, top]
-    table = np.array([v for v in values if v <= top] * 4, dtype=np.int64).reshape(4, -1)
-    assert first_difference(_format_rows("h", table), reference_format_rows("h", table)) is None
-
-
 # format_perm writes "v i " in one 8-byte word per dart when
-# len(str(n)) + len(str(d)) + 2 <= 8, and else each of v, i, w and j by
-# value: C99999 and Q13 take the first path, C100000 and Q14 the second,
-# and the rows of K150 hold ports of 1, 2 and 3 digits.
+# len(str(n)) + len(str(d)) + 2 <= 8, and else as the value slots of v and
+# of i: C99999 and Q13 take the one-word layout, C100000 and Q14 the
+# two-slot one, and the rows of K150 hold ports of 1, 2 and 3 digits.
 @pytest.mark.parametrize("rot", [
     cycle(9), cycle(10), cycle(99), cycle(100), cycle(999), cycle(1000), cycle(99999),
     cycle(10**5), RotationMatrix([[2], [1]]), hypercube(12), hypercube(13), hypercube(14),

@@ -124,6 +124,15 @@ class TestShiftPermutation:
         assert shift != ShiftPermutation(num_vertices=2, degree=2, images=np.array([2, 1, 3, 4]))
         assert shift != ShiftPermutation(num_vertices=4, degree=1, images=np.array([2, 1, 4, 3]))
 
+    @pytest.mark.parametrize("n,d", [(0, 1), (1, 0), (-1, 2)])
+    def test_nonpositive_shape_rejected(self, n, d):
+        with pytest.raises(MalformedInputError, match="need positive vertex count and degree"):
+            ShiftPermutation(num_vertices=n, degree=d, images=np.ones(max(n * d, 0)))
+
+    def test_non_integer_images_rejected(self):
+        with pytest.raises(MalformedInputError, match="dart images must be integers"):
+            ShiftPermutation(num_vertices=2, degree=1, images=np.array([2.0, 1.0]))
+
     def test_wrong_length_rejected(self):
         with pytest.raises(MalformedInputError):
             ShiftPermutation(num_vertices=2, degree=2, images=np.array([1, 2]))

@@ -108,6 +108,16 @@ class TestSpectrum:
         with pytest.raises(MalformedInputError):
             Spectrum(values=["a"], tolerance=0.0)  # not a number
 
+    @pytest.mark.parametrize("values", [[], [[]]])
+    def test_empty_values_rejected(self, values):
+        with pytest.raises(MalformedInputError, match="spectrum must be a nonempty vector"):
+            Spectrum(values=np.array(values), tolerance=0.0)
+
+    def test_len_and_repr(self):
+        spec = Spectrum(values=np.array([2.0, -1.0, -1.0]), tolerance=1e-8)
+        assert len(spec) == 3
+        assert repr(spec) == "Spectrum(size=3, tolerance=1e-08)"
+
     @pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.nan], [np.nan]])
     def test_nan_values_rejected(self, values):
         with pytest.raises(MalformedInputError, match="with no NaN"):
