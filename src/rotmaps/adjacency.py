@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .core import RotationMatrix, _array, _equal_by, _frozen, _require_valid
+from .core import RotationMatrix, _adopt, _array, _equal_by, _frozen, _require_valid
 from .exceptions import ConvergenceError, MalformedInputError, ParameterError, RegularityError
 
 __all__ = [
@@ -32,8 +32,9 @@ __all__ = [
     "product_property_check",
 ]
 
-# a 256 MB matrix, whose 512 MB canonical .adj text `rotmap solve` reads at a
-# peak of about 1.6 GB of address space
+# a 256 MB matrix, whose 512 MB .adj text `rotmap solve` reads at a peak of
+# 1.6 GiB of address space with LF or CRLF line ends, and of 2.0 GiB when its
+# lines must be re-joined first (C160xC100 under a 3 GiB RLIMIT_AS)
 MAX_ADJ_VERTICES = 16_000
 # eigvalsh holds two float64 copies, 16 n^2 bytes: `rotmap spectrum` peaks at
 # about 1.9 GB of address space at this order
@@ -51,10 +52,14 @@ class AdjacencyMatrix:
     A read-only, C-contiguous uint8 matrix that owns its data is then
     adopted as it is; any other is copied into one.
     Symmetry and a zero diagonal are enforced at construction; regularity
-    is checked on demand by :meth:`degree`.
+    is checked on demand by :meth:`degree`.  The constructor checks every
+    matrix it is given; :func:`adjacency_from_rotation` and
+    :func:`cartesian_adjacency` hand over matrices they have proven well
+    formed, which are adopted by the same rule without those checks.
     """
 
     matrix: np.ndarray
+    _dtype = np.uint8
 
     def __post_init__(self):
         arr = _array(self.matrix, "adjacency matrix")
@@ -69,7 +74,7 @@ class AdjacencyMatrix:
             arr = arr.view(arr.dtype.str.replace("i", "u"))
         if arr.max() > 1:
             raise MalformedInputError("adjacency entries must be 0 or 1")
-        arr = _frozen(arr, np.uint8)
+        arr = _frozen(arr, self._dtype)
         if np.any(np.diag(arr) != 0):
             v = int(np.nonzero(np.diag(arr))[0][0]) + 1
             raise MalformedInputError(f"nonzero diagonal at vertex {v} (self-loops not allowed)")
@@ -97,9 +102,11 @@ class AdjacencyMatrix:
         d = _common_degree(np.diff(np.searchsorted(cells, np.arange(0, n * n + 1, n))))
         if d < 1:
             raise RegularityError("graph has no edges; a rotation map needs degree at least 1")
-        cells %= n
-        cells += 1
-        return RotationMatrix(cells.reshape(n, d))
+        table = np.empty((n, d), dtype=np.int64)  # cells is a view: its table is fresh
+        np.remainder(cells, n, out=table.reshape(-1))
+        table += 1
+        table.setflags(write=False)
+        return _adopt(RotationMatrix, entries=table)
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.matrix)) // 2
@@ -171,8 +178,8 @@ def adjacency_from_rotation(rot: RotationMatrix) -> AdjacencyMatrix:
     _require_valid(rot)
     arr = np.zeros((n, n), dtype=np.uint8)
     arr[np.repeat(np.arange(n), d), rot.entries.ravel() - 1] = 1
-    arr.setflags(write=False)  # the matrix adopts the fresh array
-    return AdjacencyMatrix(arr)
+    arr.setflags(write=False)  # a valid map's matrix, adopted unchecked
+    return _adopt(AdjacencyMatrix, matrix=arr)
 
 
 def cartesian_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMatrix:
@@ -195,8 +202,8 @@ def cartesian_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMa
     copies, cloud = np.arange(n2), np.arange(n1)
     blocks[copies, :, copies, :] = a1.matrix  # I (x) A1: each copy of the first factor
     blocks[:, cloud, :, cloud] = a2.matrix  # A2 (x) I: vertex j of copy i to vertex j of copy i'
-    out.setflags(write=False)  # the matrix adopts the fresh array
-    return AdjacencyMatrix(out)
+    out.setflags(write=False)  # the sum of two disjoint matrices, adopted unchecked
+    return _adopt(AdjacencyMatrix, matrix=out)
 
 
 def spectrum(adj: AdjacencyMatrix) -> Spectrum:

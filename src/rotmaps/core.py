@@ -42,7 +42,9 @@ __all__ = [
     "to_full_form",
 ]
 
-MAX_DARTS = 20 * 2**20  # the darts of Q20, the largest hypercube, cap every generated table
+# the darts of Q20, the largest hypercube: the cap on every generated table,
+# and on the n*d that a .rot or .perm header claims
+MAX_DARTS = 20 * 2**20
 
 
 def _require_darts(darts: int, what: str) -> None:
@@ -86,10 +88,14 @@ class RotationMatrix:
     adopted as it is; any other is copied into one (:func:`_frozen`).
     Construction only enforces shape and value range; use
     :func:`validate` for the structural checks (self-loops, row
-    duplicates, symmetry).
+    duplicates, symmetry).  The constructor checks every table it is
+    given; the package's own producers (the generators, the product, the
+    row scan and the solvers) hand over tables they have proven well
+    formed, which are adopted by the same rule without those checks.
     """
 
     entries: np.ndarray
+    _dtype = np.int64
 
     def __post_init__(self):
         arr = _array(self.entries, "rotation table")
@@ -104,7 +110,7 @@ class RotationMatrix:
             raise MalformedInputError("a rotation map needs degree at least 1")
         if not np.issubdtype(arr.dtype, np.integer):
             raise MalformedInputError("rotation table entries must be integers")
-        arr = _frozen(arr, np.int64)
+        arr = _frozen(arr, self._dtype)
         lo, hi = int(arr.min()), int(arr.max())
         if lo < 1 or hi > n:
             bad = lo if lo < 1 else hi
@@ -356,6 +362,22 @@ def _array(data, what: str, dtype=None) -> np.ndarray:
         return np.asarray(data, dtype=dtype)
     except (ValueError, TypeError) as exc:
         raise MalformedInputError(f"{what} is not a rectangular array of numbers: {exc}") from None
+
+
+def _adopt(cls, **fields):
+    """A ``cls`` holding ``fields``, made without the checks of its constructor.
+
+    Only for a table the package has built itself and proven well formed,
+    on which those checks could not fail.  An array field is adopted by the
+    rule of :func:`_frozen`, with the class's ``_dtype``: as it is, in O(1),
+    when it qualifies, as each producer's table does, and else as a copy.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = _frozen(value, cls._dtype)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:

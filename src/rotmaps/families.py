@@ -3,14 +3,16 @@
 Each generator fixes one orientation convention once and for all, so the
 tables it emits are reproducible byte for byte.  Each checks its own
 parameter domain, and rejects a table of more than MAX_DARTS darts before
-anything is allocated.  The command line maps family names to generators.
+anything is allocated.  Every table is in range by construction, so its map
+adopts it without the constructor's checks.  The command line maps family
+names to generators.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import MAX_DARTS, RotationMatrix, _require_darts
+from .core import MAX_DARTS, RotationMatrix, _adopt, _require_darts
 from .exceptions import ParameterError
 
 __all__ = [
@@ -41,7 +43,7 @@ def cycle(n: int) -> RotationMatrix:
     pred -= 1
     pred[0] = n
     table.setflags(write=False)
-    return RotationMatrix(table)
+    return _adopt(RotationMatrix, entries=table)
 
 
 def complete(n: int) -> RotationMatrix:
@@ -58,7 +60,7 @@ def complete(n: int) -> RotationMatrix:
     table %= n
     table += 1
     table.setflags(write=False)
-    return RotationMatrix(table)
+    return _adopt(RotationMatrix, entries=table)
 
 
 def complete_bipartite(n: int) -> RotationMatrix:
@@ -76,7 +78,7 @@ def complete_bipartite(n: int) -> RotationMatrix:
     right = (v + k - 2) % n + 1
     table = np.vstack([left, right])
     table.setflags(write=False)  # a fresh table, adopted by the map
-    return RotationMatrix(table)
+    return _adopt(RotationMatrix, entries=table)
 
 
 def generalized_petersen(n: int, s: int) -> RotationMatrix:
@@ -98,14 +100,14 @@ def generalized_petersen(n: int, s: int) -> RotationMatrix:
     inner = np.column_stack([n + (j - 1 + s) % n + 1, j, n + (j - 1 - s) % n + 1])
     table = np.vstack([outer, inner])
     table.setflags(write=False)  # a fresh table, adopted by the map
-    return RotationMatrix(table)
+    return _adopt(RotationMatrix, entries=table)
 
 
 def k2() -> RotationMatrix:
     """The single edge on two vertices: the unique 1-regular map."""
     table = np.array([[2], [1]], dtype=np.int64)
     table.setflags(write=False)  # a fresh table, adopted by the map
-    return RotationMatrix(table)
+    return _adopt(RotationMatrix, entries=table)
 
 
 def hypercube(m: int) -> RotationMatrix:
@@ -126,5 +128,5 @@ def hypercube(m: int) -> RotationMatrix:
     table = v ^ (1 << np.arange(m, dtype=np.int64))  # a fresh table, adopted by the map
     table += 1
     table.setflags(write=False)
-    return RotationMatrix(table)
+    return _adopt(RotationMatrix, entries=table)
 

@@ -21,7 +21,8 @@ Refused text is read row by row only to name its first malformed row, and
 an error quotes at most 80 characters of a token or line.
 
 An ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
-line ends is refused before any array is made.
+line ends is refused before any array is made, and so is a .rot or .perm
+text whose first line ``n d`` claims more than MAX_DARTS darts.
 
 Plus one-way exports: DOT (undirected graph, each edge labeled with its two
 ports) and JSON (``{"n":…,"d":…,"rot":[[…]]}``), written by the .rot writer
@@ -31,11 +32,12 @@ with a byte after each column that str.replace turns into their separators.
 from __future__ import annotations
 
 import math
+import re
 from typing import NoReturn
 
 import numpy as np
 
-from .core import RotationMatrix, to_full_form, validate
+from .core import RotationMatrix, _adopt, _require_darts, to_full_form, validate
 from .adjacency import MAX_ADJ_VERTICES, AdjacencyMatrix
 from .exceptions import MalformedInputError, ParameterError
 from .shift import ShiftPermutation, verify_unitary
@@ -57,9 +59,14 @@ def _quote(token: str) -> str:
     return repr(token) if len(token) <= 80 else f"{token[:80]!r}..."
 
 
+def _is_token(token: str) -> bool:
+    """Whether ``token`` is a run of 1 to 18 ASCII digits, as every token must be."""
+    return token.isascii() and token.isdigit() and len(token) <= 18
+
+
 def _number(token: str, what: str) -> int:
-    """``token`` as an int, when it is a run of 1 to 18 ASCII digits, as every token is."""
-    if not (token.isascii() and token.isdigit() and len(token) <= 18):
+    """``token`` as an int, when it is a token (:func:`_is_token`)."""
+    if not _is_token(token):
         raise MalformedInputError(f"{what}: {_quote(token)} is not a run of 1 to 18 ASCII digits")
     return int(token)
 
@@ -77,6 +84,24 @@ def _read_header(text: str, kind: str, form: str) -> tuple[list[str], int, int]:
     if n < 1 or d < 1:
         raise MalformedInputError(f"header values must be positive, got {n} {d}")
     return lines, n, d
+
+
+# the line ends of str.splitlines, compiled on first use and not at import
+_LINE_END = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
+
+
+def _require_header_darts(text: str, kind: str) -> None:
+    """Refuse a first line ``n d`` with n*d above MAX_DARTS, before any array is made.
+
+    Only the first line is read, up to its first line end.  A first line
+    that is not two runs of 1 to 18 ASCII digits is left to the reader,
+    which names what is wrong with it.
+    """
+    end = re.search(_LINE_END, text)
+    header = text[:end.start() if end else len(text)].split(maxsplit=2)
+    if len(header) == 2 and all(map(_is_token, header)):
+        n, d = map(int, header)
+        _require_darts(n * d, f"{kind} file of {n} vertices and degree {d}")
 
 
 def _unsigned(top: int) -> type:
@@ -250,8 +275,10 @@ def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
     and the error names the first malformed row.  By default the parsed
     table must also be a valid map (that is part of the format contract);
     pass ``require_valid_map=False`` to get the raw table for diagnostic
-    reporting.
+    reporting.  A header ``n d`` with n*d above MAX_DARTS is refused with
+    ParameterError before the rows are read.
     """
+    _require_header_darts(text, "rotation")
     read = _read_table(text)
     if read is None or read[1].shape != read[0]:
         _rot_rows(text)
@@ -412,8 +439,10 @@ def parse_perm(text: str) -> ShiftPermutation:
     The text is read in one pass over its bytes, after one pass over its
     lines when it is not canonical.  Text that pass refuses, or darts out
     of range or listed twice, is malformed, and the error names the first
-    malformed line.
+    malformed line.  A header ``N d`` with N*d above MAX_DARTS is refused
+    with ParameterError before the lines are read.
     """
+    _require_header_darts(text, "permutation")
     read = _read_table(text)
     images = None
     if read is not None:
@@ -434,8 +463,8 @@ def parse_perm(text: str) -> ShiftPermutation:
     # one line per dart, so an unset image means some dart was listed twice
     if images is None or not images.all():
         _perm_lines(text)
-    images.setflags(write=False)  # the permutation adopts the fresh images
-    shift = ShiftPermutation(num_vertices=n, degree=d, images=images)
+    images.setflags(write=False)  # range-checked and all set, so adopted unchecked
+    shift = _adopt(ShiftPermutation, num_vertices=n, degree=d, images=images)
     if not verify_unitary(shift):
         raise MalformedInputError("dart pairs do not form an involutive permutation")
     return shift

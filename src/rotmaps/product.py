@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .core import RotationMatrix, _require_darts, _require_valid
+from .core import RotationMatrix, _adopt, _require_darts, _require_valid
 from .exceptions import InconsistentInputWarning
 
 __all__ = ["cartesian_rotation"]
@@ -62,4 +62,4 @@ def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> Rotation
     np.add(np.arange(1, vg + 1)[None, :, None], vg * (outer.entries[:, None, :] - 1),
            out=clouds[..., dg:])
     table.setflags(write=False)
-    return RotationMatrix(table)
+    return _adopt(RotationMatrix, entries=table)

@@ -14,7 +14,8 @@ import warnings
 
 import numpy as np
 
-from .core import RotationMatrix, _array, _equal_by, _frozen, _require_valid, to_full_form
+from .core import (RotationMatrix, _adopt, _array, _equal_by, _frozen, _require_valid,
+                   to_full_form)
 from .exceptions import InconsistentInputWarning, MalformedInputError
 
 __all__ = [
@@ -35,12 +36,16 @@ class ShiftPermutation:
     shapes and value ranges; bijectivity and involutivity are checked by
     :func:`verify_unitary`, so defective tables can be represented and
     rejected there.  Permutations are equal when their vertex counts,
-    degrees and images are.
+    degrees and images are.  The constructor checks every array it is
+    given; :func:`build_shift` and the ``.perm`` reader hand over images
+    they have proven in range, which are adopted by the same rule without
+    those checks.
     """
 
     num_vertices: int
     degree: int
     images: np.ndarray
+    _dtype = np.int64
 
     def __post_init__(self):
         if self.num_vertices < 1 or self.degree < 1:
@@ -53,7 +58,7 @@ class ShiftPermutation:
             raise MalformedInputError(f"need {size} dart images, got shape {imgs.shape}")
         if not np.issubdtype(imgs.dtype, np.integer):
             raise MalformedInputError("dart images must be integers")
-        imgs = _frozen(imgs, np.int64)
+        imgs = _frozen(imgs, self._dtype)
         if imgs.min() < 1 or imgs.max() > size:
             raise MalformedInputError(f"dart image outside 1..{size}")
         object.__setattr__(self, "images", imgs)
@@ -80,8 +85,9 @@ def build_shift(rot: RotationMatrix) -> ShiftPermutation:
     images = rot.entries.ravel() - 1  # a fresh array, filled in place and adopted
     images *= rot.degree
     images += to_full_form(rot).ravel()
-    images.setflags(write=False)
-    return ShiftPermutation(num_vertices=rot.num_vertices, degree=rot.degree, images=images)
+    images.setflags(write=False)  # each dart's partner, in 1..N*d
+    return _adopt(ShiftPermutation, num_vertices=rot.num_vertices, degree=rot.degree,
+                  images=images)
 
 
 def verify_unitary(shift: ShiftPermutation) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adjacency import AdjacencyMatrix, rotation_from_adjacency
-from .core import RotationMatrix, validate
+from .core import RotationMatrix, _adopt, validate
 from .exceptions import ParameterError, RotmapsError, SearchBudgetExceededError
 
 __all__ = [
@@ -88,8 +88,8 @@ def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET)
 
     entries = np.empty_like(scan)
     entries[np.arange(n).repeat(d), np.array(labels) - 1] = scan.ravel()
-    entries.setflags(write=False)  # the map adopts the fresh table
-    return RotationMatrix(entries)
+    entries.setflags(write=False)  # each row a permutation of its row-scan row, adopted unchecked
+    return _adopt(RotationMatrix, entries=entries)
 
 
 def _check_labels(scan: np.ndarray, entries: np.ndarray) -> RotationMatrix:
@@ -98,7 +98,7 @@ def _check_labels(scan: np.ndarray, entries: np.ndarray) -> RotationMatrix:
     :func:`validate` pairs the map by one sort of its n*d edge keys and caches its report.
     """
     if np.array_equal(np.sort(entries, axis=1), scan):
-        rot = RotationMatrix(entries)
+        rot = _adopt(RotationMatrix, entries=entries)  # in range: its rows sort to the scan's
         if validate(rot).is_consistent:
             return rot
     raise RotmapsError("recolouring did not label every arc exactly once")

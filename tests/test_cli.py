@@ -233,6 +233,15 @@ class TestVerify:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: row 1:")
         assert len(captured.err.encode()) < 200
 
+    @pytest.mark.parametrize("command", ["verify", "shift"])
+    def test_header_above_max_darts_is_one_error_line(self, tmp_path, capsys, command):
+        path = write(tmp_path, "over.rot", f"{MAX_DARTS // 2 + 1} 2\n2\n1\n")
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: rotation file of {MAX_DARTS // 2 + 1} vertices and degree 2 "
+                                f"has {MAX_DARTS + 2} darts, above the limit of {MAX_DARTS}\n")
+
 
 class TestAdjacencyCommands:
     def test_from_adjacency(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import rotmaps.core
 import rotmaps.io
 from conftest import CORPUS
 from rotmaps import (
@@ -272,21 +273,27 @@ CUT = "'" + "9" * 80 + "'..."
 TOP = "9" * 18  # the largest value a token holds
 
 
-@pytest.mark.parametrize("parse,text,start", [
-    (parse_rot, f"2 1\n{LONGEST_INT}\n1\n", f"row 1: {CUT} {REFUSED}"),
-    (parse_rot, f"{TOP} 1\n2\n1\n", f"expected {TOP} rows after the header, got 2"),
-    (parse_rot, f"2 {TOP}\n2\n1\n", f"row 1: expected {TOP} entries, got 1"),
-    (parse_rot, f"-{LONGEST_INT} 1\n", f"header vertex count: '-{'9' * 79}'... {REFUSED}"),
-    (parse_perm, f"{TOP} 1\n1 1 2 1\n", f"expected {TOP} dart lines, got 1"),
+# a header of more than MAX_DARTS darts is refused before its rows are counted
+@pytest.mark.parametrize("parse,text,error,start", [
+    (parse_rot, f"2 1\n{LONGEST_INT}\n1\n", MalformedInputError, f"row 1: {CUT} {REFUSED}"),
+    (parse_rot, f"{TOP} 1\n2\n1\n", ParameterError,
+     f"rotation file of {TOP} vertices and degree 1 has {TOP} darts, above the limit of "),
+    (parse_rot, f"2 {TOP}\n2\n1\n", ParameterError,
+     f"rotation file of 2 vertices and degree {TOP} has {2 * int(TOP)} darts, above the limit of "),
+    (parse_rot, f"-{LONGEST_INT} 1\n", MalformedInputError,
+     f"header vertex count: '-{'9' * 79}'... {REFUSED}"),
+    (parse_perm, f"{TOP} 1\n1 1 2 1\n", ParameterError,
+     f"permutation file of {TOP} vertices and degree 1 has {TOP} darts, above the limit of "),
     # n*d has 36 digits
-    (parse_perm, f"{TOP} {TOP}\n1 1 2 1\n", f"expected {int(TOP) ** 2} dart lines, got 1"),
+    (parse_perm, f"{TOP} {TOP}\n1 1 2 1\n", ParameterError,
+     f"permutation file of {TOP} vertices and degree {TOP} has {int(TOP) ** 2} darts"),
     # up to 80 characters a token is quoted in full
-    (parse_rot, f"2 1\n{'9' * 80}\n1\n", f"row 1: '{'9' * 80}' {REFUSED}"),
-    (parse_rot, f"2 1\n{'9' * 81}\n1\n", f"row 1: {CUT} {REFUSED}"),
+    (parse_rot, f"2 1\n{'9' * 80}\n1\n", MalformedInputError, f"row 1: '{'9' * 80}' {REFUSED}"),
+    (parse_rot, f"2 1\n{'9' * 81}\n1\n", MalformedInputError, f"row 1: {CUT} {REFUSED}"),
 ], ids=["rot-entry", "rot-rows", "rot-entries", "header", "perm-lines", "perm-lines-product",
         "80-digits", "81-digits"])
-def test_a_long_number_gives_a_short_message(parse, text, start):
-    with pytest.raises(MalformedInputError) as info:
+def test_a_long_number_gives_a_short_message(parse, text, error, start):
+    with pytest.raises(error) as info:
         parse(text)
     message = str(info.value)
     assert message.startswith(start) and len(message.encode()) < 200
@@ -312,6 +319,39 @@ def torus_texts():
     return {"rot": format_rot(rot), "perm": format_perm(build_shift(rot))}
 
 
+def unreachable(*args):
+    raise AssertionError("the text was read past its first line")
+
+
+class TestHeaderDartLimit:
+    # 10485761 * 2 darts is one pair above MAX_DARTS
+    @pytest.mark.parametrize("parse,kind", [(parse_rot, "rotation"), (parse_perm, "permutation")],
+                             ids=["rot", "perm"])
+    @pytest.mark.parametrize("text", ["10485761 2\n2\n1\n", "  10485761\t2 \r\n2\r\n1\r\n",
+                                      "010485761 2"],
+                             ids=["canonical", "padded-crlf", "header-only"])
+    def test_refused_before_the_text_is_read(self, monkeypatch, parse, kind, text):
+        monkeypatch.setattr(rotmaps.io, "_read_table", unreachable)
+        monkeypatch.setattr(rotmaps.io, "_read_header", unreachable)
+        with pytest.raises(ParameterError) as info:
+            parse(text)
+        assert str(info.value) == (f"{kind} file of 10485761 vertices and degree 2 has 20971522 "
+                                   "darts, above the limit of 20971520")
+
+    @pytest.mark.parametrize("parse,message", [
+        (parse_rot, "header must be 'n d', got '10485761 2 1'"),
+        (parse_perm, "header must be 'N d', got '10485761 2 1'"),
+    ], ids=["rot", "perm"])
+    def test_a_first_line_that_is_no_header_is_malformed(self, parse, message):
+        with pytest.raises(MalformedInputError, match=f"^{message}$"):
+            parse("10485761 2 1\n2\n1\n")
+
+    @pytest.mark.parametrize("parse", [parse_rot, parse_perm], ids=["rot", "perm"])
+    def test_a_header_split_over_two_lines_is_malformed(self, parse):
+        with pytest.raises(MalformedInputError, match="^header must be"):
+            parse("10485761\n2\n2\n1\n")
+
+
 class TestCanonicalReadMemory:
     # Each bound sits above the peak measured on C400 x C250 (15 MB for
     # parse_rot, 30 MB for parse_perm) and below the 50 MB and 134 MB that a
@@ -333,7 +373,21 @@ class TestCanonicalReadMemory:
         (parse_perm, "1000000000000 2" + TRIANGLE_PERM_FILE[3:],
          "expected 2000000000000 dart lines, got 6"),
     ])
-    def test_header_claiming_1e12_rows_allocates_nothing_by_it(self, parse, text, message):
+    def test_header_claiming_1e12_rows_allocates_nothing_by_it(self, monkeypatch, parse, text,
+                                                                message):
+        # such a header is refused by MAX_DARTS first; with the limit raised,
+        # the byte pass must still size nothing by the header's claim
+        monkeypatch.setattr(rotmaps.core, "MAX_DARTS", 10**13)
+        with pytest.raises(MalformedInputError) as info:
+            parse(text)
+        assert str(info.value) == message
+        assert traced_peak(lambda: parse(text)) < 1e6
+
+    @pytest.mark.parametrize("parse,text,message", [
+        (parse_rot, "10485760 2" + C5_FILE[3:], "expected 10485760 rows after the header, got 5"),
+        (parse_perm, "10485760 2" + TRIANGLE_PERM_FILE[3:], "expected 20971520 dart lines, got 6"),
+    ], ids=["rot", "perm"])
+    def test_header_claiming_max_darts_allocates_nothing_by_it(self, parse, text, message):
         with pytest.raises(MalformedInputError) as info:
             parse(text)
         assert str(info.value) == message

@@ -23,8 +23,10 @@ re-joined text would read the same.
 ``reference_solve_matching``, the per-arc loop it replaced.
 """
 
+import dataclasses
 import json
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -53,6 +55,7 @@ from rotmaps import (
     generalized_petersen,
     hypercube,
     is_consistent,
+    k2,
     rotation_from_adjacency,
     solve_backtracking,
     solve_matching,
@@ -60,6 +63,7 @@ from rotmaps import (
     validate,
     verify_unitary,
 )
+from rotmaps.core import _adopt
 from rotmaps.io import (
     _format_rows,
     _slots,
@@ -469,6 +473,76 @@ def test_shift_is_an_involutive_permutation(rot):
     assert verify_unitary(shift)
     images = shift.images
     assert np.array_equal(images[images - 1], np.arange(1, images.size + 1))
+
+
+# The tables the package builds itself reach their type through core._adopt,
+# without the constructor's checks.  Each must be handed over as a table the
+# type adopts as it is: read-only, C-contiguous, owning its data and of the
+# class's dtype; and the public constructor must take it unchanged.
+ADOPTERS = [module for name, module in sorted(sys.modules.items())
+            if name.startswith("rotmaps.") and getattr(module, "_adopt", None) is _adopt]
+
+
+def adopted(make):
+    """``make()``, after checking that it and every table adopted on the way were adopted as is."""
+    handed = []
+
+    def spy(cls, **fields):
+        obj = _adopt(cls, **fields)
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                assert getattr(obj, name) is value, f"{cls.__name__}.{name} was copied"
+                handed.append(value)
+        return obj
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", InconsistentInputWarning)
+        for module in ADOPTERS:
+            patch.setattr(module, "_adopt", spy)
+        obj = make()
+    *_, table = (getattr(obj, field.name) for field in dataclasses.fields(obj))
+    assert handed and table is handed[-1]
+    flags = table.flags
+    assert not flags.writeable and flags.c_contiguous and flags.owndata
+    assert table.dtype == type(obj)._dtype
+    again = type(obj)(**{field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)})
+    assert again == obj
+    return obj
+
+
+@PROPERTY
+@given(regular_graphs())
+def test_tables_built_from_a_graph_are_adopted_as_checked(adj):
+    scan = adopted(lambda: rotation_from_adjacency(adj))
+    for solve in (solve_matching, solve_backtracking):
+        rot = adopted(lambda: solve(adj))
+        assert adopted(lambda: adjacency_from_rotation(rot)) == adj
+        shift = adopted(lambda: build_shift(rot))
+        assert adopted(lambda: parse_perm(format_perm(shift))) == shift
+    adopted(lambda: build_shift(scan))
+    adopted(lambda: cartesian_adjacency(adj, adj))
+
+
+FAMILIES = {
+    "C3": lambda: cycle(3), "C7": lambda: cycle(7), "K3": lambda: complete(3),
+    "K6": lambda: complete(6), "K2,2": lambda: complete_bipartite(2),
+    "K3,3": lambda: complete_bipartite(3), "GP(5,2)": lambda: generalized_petersen(5, 2),
+    "GP(7,3)": lambda: generalized_petersen(7, 3), "K2": k2, "Q1": lambda: hypercube(1),
+    "Q4": lambda: hypercube(4),
+}
+FACTORS = {name: FAMILIES[name] for name in ("K2", "C7", "K3,3")}
+
+
+@pytest.mark.parametrize("second", FACTORS.values(), ids=FACTORS)
+@pytest.mark.parametrize("first", FAMILIES.values(), ids=FAMILIES)
+def test_tables_built_from_families_are_adopted_as_checked(first, second):
+    r1, r2 = adopted(first), adopted(second)
+    prod = adopted(lambda: cartesian_rotation(r1, r2))
+    a1, a2 = (adopted(lambda: adjacency_from_rotation(r)) for r in (r1, r2))
+    assert adopted(lambda: cartesian_adjacency(a1, a2)) == adopted(
+        lambda: adjacency_from_rotation(prod))
+    shift = adopted(lambda: build_shift(prod))
+    assert adopted(lambda: parse_perm(format_perm(shift))) == shift
 
 
 def fallback_ran(*args):
