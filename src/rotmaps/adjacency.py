@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 
 import numpy as np
 
@@ -55,7 +56,8 @@ class AdjacencyMatrix:
     is checked on demand by :meth:`degree`.  The constructor checks every
     matrix it is given; :func:`adjacency_from_rotation` and
     :func:`cartesian_adjacency` hand over matrices they have proven well
-    formed, which are adopted by the same rule without those checks.
+    formed, fresh and of its dtype, which are frozen and adopted as they
+    are, without those checks.
     """
 
     matrix: np.ndarray
@@ -105,7 +107,6 @@ class AdjacencyMatrix:
         table = np.empty((n, d), dtype=np.int64)  # cells is a view: its table is fresh
         np.remainder(cells, n, out=table.reshape(-1))
         table += 1
-        table.setflags(write=False)
         return _adopt(RotationMatrix, entries=table)
 
     def edge_count(self) -> int:
@@ -141,6 +142,8 @@ class Spectrum:
         # NaN fails every comparison, and each value but a lone one is in a difference
         if not (np.diff(vals) <= 0).all() or np.isnan(vals[0]):
             raise MalformedInputError("spectrum values must be sorted nonincreasing, with no NaN")
+        if not isinstance(self.tolerance, numbers.Real):
+            raise MalformedInputError(f"tolerance must be a real number, got {self.tolerance!r}")
         if not self.tolerance >= 0:  # also false for NaN
             raise MalformedInputError("tolerance must be nonnegative")
         vals.setflags(write=False)
@@ -178,8 +181,7 @@ def adjacency_from_rotation(rot: RotationMatrix) -> AdjacencyMatrix:
     _require_valid(rot)
     arr = np.zeros((n, n), dtype=np.uint8)
     arr[np.repeat(np.arange(n), d), rot.entries.ravel() - 1] = 1
-    arr.setflags(write=False)  # a valid map's matrix, adopted unchecked
-    return _adopt(AdjacencyMatrix, matrix=arr)
+    return _adopt(AdjacencyMatrix, matrix=arr)  # a valid map's matrix, adopted unchecked
 
 
 def cartesian_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMatrix:
@@ -202,8 +204,7 @@ def cartesian_adjacency(a1: AdjacencyMatrix, a2: AdjacencyMatrix) -> AdjacencyMa
     copies, cloud = np.arange(n2), np.arange(n1)
     blocks[copies, :, copies, :] = a1.matrix  # I (x) A1: each copy of the first factor
     blocks[:, cloud, :, cloud] = a2.matrix  # A2 (x) I: vertex j of copy i to vertex j of copy i'
-    out.setflags(write=False)  # the sum of two disjoint matrices, adopted unchecked
-    return _adopt(AdjacencyMatrix, matrix=out)
+    return _adopt(AdjacencyMatrix, matrix=out)  # two disjoint matrices' sum, adopted unchecked
 
 
 def spectrum(adj: AdjacencyMatrix) -> Spectrum:

@@ -91,7 +91,8 @@ class RotationMatrix:
     duplicates, symmetry).  The constructor checks every table it is
     given; the package's own producers (the generators, the product, the
     row scan and the solvers) hand over tables they have proven well
-    formed, which are adopted by the same rule without those checks.
+    formed, fresh and of its dtype, which are frozen and adopted as they
+    are, without those checks.
     """
 
     entries: np.ndarray
@@ -368,14 +369,14 @@ def _adopt(cls, **fields):
     """A ``cls`` holding ``fields``, made without the checks of its constructor.
 
     Only for a table the package has built itself and proven well formed,
-    on which those checks could not fail.  An array field is adopted by the
-    rule of :func:`_frozen`, with the class's ``_dtype``: as it is, in O(1),
-    when it qualifies, as each producer's table does, and else as a copy.
+    on which those checks could not fail.  Each array field must be a fresh
+    C-contiguous array of the class's ``_dtype`` that owns its data, as
+    :func:`_frozen` would keep; it is made read-only and adopted as it is.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            value = _frozen(value, cls._dtype)
+            value.setflags(write=False)
         object.__setattr__(obj, name, value)
     return obj
 

@@ -42,7 +42,6 @@ def cycle(n: int) -> RotationMatrix:
     succ[-1] = 1
     pred -= 1
     pred[0] = n
-    table.setflags(write=False)
     return _adopt(RotationMatrix, entries=table)
 
 
@@ -59,7 +58,6 @@ def complete(n: int) -> RotationMatrix:
     table = v - 1 + i  # filled in place and adopted by the map
     table %= n
     table += 1
-    table.setflags(write=False)
     return _adopt(RotationMatrix, entries=table)
 
 
@@ -77,7 +75,6 @@ def complete_bipartite(n: int) -> RotationMatrix:
     left = n + (v + k - 2) % n + 1
     right = (v + k - 2) % n + 1
     table = np.vstack([left, right])
-    table.setflags(write=False)  # a fresh table, adopted by the map
     return _adopt(RotationMatrix, entries=table)
 
 
@@ -99,14 +96,12 @@ def generalized_petersen(n: int, s: int) -> RotationMatrix:
     outer = np.column_stack([j % n + 1, n + j, (j - 2) % n + 1])
     inner = np.column_stack([n + (j - 1 + s) % n + 1, j, n + (j - 1 - s) % n + 1])
     table = np.vstack([outer, inner])
-    table.setflags(write=False)  # a fresh table, adopted by the map
     return _adopt(RotationMatrix, entries=table)
 
 
 def k2() -> RotationMatrix:
     """The single edge on two vertices: the unique 1-regular map."""
     table = np.array([[2], [1]], dtype=np.int64)
-    table.setflags(write=False)  # a fresh table, adopted by the map
     return _adopt(RotationMatrix, entries=table)
 
 
@@ -127,6 +122,5 @@ def hypercube(m: int) -> RotationMatrix:
     v = np.arange(2**m, dtype=np.int64)[:, None]
     table = v ^ (1 << np.arange(m, dtype=np.int64))  # a fresh table, adopted by the map
     table += 1
-    table.setflags(write=False)
     return _adopt(RotationMatrix, entries=table)
 

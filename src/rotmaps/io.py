@@ -20,9 +20,11 @@ and else the value slots of v and of i, each so padded.
 Refused text is read row by row only to name its first malformed row, and
 an error quotes at most 80 characters of a token or line.
 
-An ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
-line ends is refused before any array is made, and so is a .rot or .perm
-text whose first line ``n d`` claims more than MAX_DARTS darts.
+A .rot or .perm header is read first, from the first line alone: every
+header error, and a header ``n d`` that claims more than MAX_DARTS darts,
+is refused before the rows are read and before any array is made.  So is
+an ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
+line ends.
 
 Plus one-way exports: DOT (undirected graph, each edge labeled with its two
 ports) and JSON (``{"n":…,"d":…,"rot":[[…]]}``), written by the .rot writer
@@ -59,49 +61,37 @@ def _quote(token: str) -> str:
     return repr(token) if len(token) <= 80 else f"{token[:80]!r}..."
 
 
-def _is_token(token: str) -> bool:
-    """Whether ``token`` is a run of 1 to 18 ASCII digits, as every token must be."""
-    return token.isascii() and token.isdigit() and len(token) <= 18
-
-
 def _number(token: str, what: str) -> int:
-    """``token`` as an int, when it is a token (:func:`_is_token`)."""
-    if not _is_token(token):
+    """``token`` as an int, when it is a run of 1 to 18 ASCII digits, as every token must be."""
+    if not (token.isascii() and token.isdigit() and len(token) <= 18):
         raise MalformedInputError(f"{what}: {_quote(token)} is not a run of 1 to 18 ASCII digits")
     return int(token)
-
-
-def _read_header(text: str, kind: str, form: str) -> tuple[list[str], int, int]:
-    """Lines of a .rot or .perm file and its two positive header values."""
-    lines = text.splitlines()
-    if not lines:
-        raise MalformedInputError(f"empty {kind} file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MalformedInputError(f"header must be '{form}', got {_quote(lines[0])}")
-    n = _number(header[0], "header vertex count")
-    d = _number(header[1], "header degree")
-    if n < 1 or d < 1:
-        raise MalformedInputError(f"header values must be positive, got {n} {d}")
-    return lines, n, d
 
 
 # the line ends of str.splitlines, compiled on first use and not at import
 _LINE_END = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
 
 
-def _require_header_darts(text: str, kind: str) -> None:
-    """Refuse a first line ``n d`` with n*d above MAX_DARTS, before any array is made.
+def _read_header(text: str, kind: str, form: str) -> tuple[int, int]:
+    """The two positive header values of .rot or .perm text, read from its first line alone.
 
-    Only the first line is read, up to its first line end.  A first line
-    that is not two runs of 1 to 18 ASCII digits is left to the reader,
-    which names what is wrong with it.
+    Only the text up to the first line end is read, so every header error,
+    and a header ``n d`` with n*d above MAX_DARTS, is refused before any
+    pass over the body and before any array is made.
     """
+    if not text:
+        raise MalformedInputError(f"empty {kind} file")
     end = re.search(_LINE_END, text)
-    header = text[:end.start() if end else len(text)].split(maxsplit=2)
-    if len(header) == 2 and all(map(_is_token, header)):
-        n, d = map(int, header)
-        _require_darts(n * d, f"{kind} file of {n} vertices and degree {d}")
+    line = text[:end.start() if end else len(text)]
+    header = line.split(maxsplit=2)
+    if len(header) != 2:
+        raise MalformedInputError(f"header must be '{form}', got {_quote(line)}")
+    n = _number(header[0], "header vertex count")
+    d = _number(header[1], "header degree")
+    if n < 1 or d < 1:
+        raise MalformedInputError(f"header values must be positive, got {n} {d}")
+    _require_darts(n * d, f"{kind} file of {n} vertices and degree {d}")
+    return n, d
 
 
 def _unsigned(top: int) -> type:
@@ -163,8 +153,8 @@ def _format_rows(header: str, table: np.ndarray, ends: bytes = b"",
     return text.decode("ascii")
 
 
-def _canonical_table(data: bytes) -> tuple[tuple[int, int], np.ndarray] | None:
-    """The header values and unsigned rows of canonical .rot or .perm text, or None.
+def _canonical_table(data: bytes) -> np.ndarray | None:
+    """The unsigned body rows of canonical .rot or .perm text, or None.
 
     Canonical text is a header ``a b`` and then rows of equally many runs of
     at most 18 digits, one space between runs and ``\n`` after each line;
@@ -176,7 +166,8 @@ def _canonical_table(data: bytes) -> tuple[tuple[int, int], np.ndarray] | None:
     or in uint64 when some token has more than 9 digits, from one uint8
     gather per digit place.  The gather's index is the array of token ends,
     moved in place, so besides it and the values each array of one element
-    per token is uint8 and made once.
+    per token is uint8 and made once.  The header's layout is checked here
+    and its values dropped: :func:`_read_header` reads them.
     """
     if b"\r" in data:  # a scan for '\r' costs far less than a replace that finds none
         data = data.replace(b"\r\n", b"\n")
@@ -215,11 +206,10 @@ def _canonical_table(data: bytes) -> tuple[tuple[int, int], np.ndarray] | None:
         values *= 10
         values += digits
         ends += 1
-    n, d = values[:2].tolist()
-    return (n, d), values[2:].reshape(-1, width)
+    return values[2:].reshape(-1, width)
 
 
-def _read_table(text: str) -> tuple[tuple[int, int], np.ndarray] | None:
+def _read_table(text: str) -> np.ndarray | None:
     """The byte pass over .rot or .perm text, or else over the text with its lines re-joined.
 
     Both texts are encoded the same way, as UTF-8 with ``surrogatepass``.
@@ -251,12 +241,12 @@ def format_rot(rot: RotationMatrix) -> str:
     return _format_rows(f"{rot.num_vertices} {rot.degree}", rot.entries)
 
 
-def _rot_rows(text: str) -> NoReturn:
-    """Raise the error naming the first malformed row of .rot text the byte pass refused."""
-    lines, n, d = _read_header(text, "rotation", "n d")
-    if len(lines) - 1 != n:
-        raise MalformedInputError(f"expected {n} rows after the header, got {len(lines) - 1}")
-    for number, line in enumerate(lines[1:], start=1):
+def _rot_rows(text: str, n: int, d: int) -> NoReturn:
+    """Raise the error naming the first malformed body row of .rot text the byte pass refused."""
+    rows = text.splitlines()[1:]
+    if len(rows) != n:
+        raise MalformedInputError(f"expected {n} rows after the header, got {len(rows)}")
+    for number, line in enumerate(rows, start=1):
         parts = line.split()
         if len(parts) != d:
             raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
@@ -269,20 +259,22 @@ def _rot_rows(text: str) -> NoReturn:
 def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
     """Strict parse of the .rot format.
 
-    The text is read in one pass over its bytes, after one pass over its
+    The header ``n d`` is read first, from the first line alone: a
+    malformed header is refused with MalformedInputError, and one with n*d
+    above MAX_DARTS with ParameterError, before the rows are read.  The
+    text is then read in one pass over its bytes, after one pass over its
     lines when it is not canonical (tabs, padded tokens, no final newline).
-    Text that pass refuses, or a table of the wrong shape, is malformed,
+    Text that pass refuses, or rows that are not n by d, are malformed,
     and the error names the first malformed row.  By default the parsed
     table must also be a valid map (that is part of the format contract);
     pass ``require_valid_map=False`` to get the raw table for diagnostic
-    reporting.  A header ``n d`` with n*d above MAX_DARTS is refused with
-    ParameterError before the rows are read.
+    reporting.
     """
-    _require_header_darts(text, "rotation")
-    read = _read_table(text)
-    if read is None or read[1].shape != read[0]:
-        _rot_rows(text)
-    table = read[1].astype(np.int64)
+    n, d = _read_header(text, "rotation", "n d")
+    rows = _read_table(text)
+    if rows is None or rows.shape != (n, d):
+        _rot_rows(text, n, d)
+    table = rows.astype(np.int64)
     table.setflags(write=False)  # the map adopts the fresh table
     rot = RotationMatrix(table)
     if require_valid_map:
@@ -412,13 +404,13 @@ def format_perm(shift: ShiftPermutation) -> str:
                         b" \n", _dart_slots(n, d))
 
 
-def _perm_lines(text: str) -> NoReturn:
-    """Raise the error naming the first malformed line of .perm text the byte pass refused."""
-    lines, n, d = _read_header(text, "permutation", "N d")
-    if len(lines) - 1 != n * d:
-        raise MalformedInputError(f"expected {n * d} dart lines, got {len(lines) - 1}")
+def _perm_lines(text: str, n: int, d: int) -> NoReturn:
+    """Raise the error naming the first malformed dart line of .perm text the byte pass refused."""
+    lines = text.splitlines()[1:]
+    if len(lines) != n * d:
+        raise MalformedInputError(f"expected {n * d} dart lines, got {len(lines)}")
     seen = bytearray(n * d)
-    for number, line in enumerate(lines[1:], start=1):
+    for number, line in enumerate(lines, start=1):
         parts = line.split()
         if len(parts) != 4:
             raise MalformedInputError(f"line {number}: expected 'v i w j', got {_quote(line)}")
@@ -436,17 +428,18 @@ def _perm_lines(text: str) -> NoReturn:
 def parse_perm(text: str) -> ShiftPermutation:
     """Strict parse of the .perm format; the pairs must form an involutive permutation.
 
-    The text is read in one pass over its bytes, after one pass over its
-    lines when it is not canonical.  Text that pass refuses, or darts out
-    of range or listed twice, is malformed, and the error names the first
-    malformed line.  A header ``N d`` with N*d above MAX_DARTS is refused
-    with ParameterError before the lines are read.
+    The header ``N d`` is read first, from the first line alone: a
+    malformed header is refused with MalformedInputError, and one with N*d
+    above MAX_DARTS with ParameterError, before the dart lines are read.
+    The text is then read in one pass over its bytes, after one pass over
+    its lines when it is not canonical.  Text that pass refuses, other than
+    N*d lines of four tokens, or darts out of range or listed twice, is
+    malformed, and the error names the first malformed line.
     """
-    _require_header_darts(text, "permutation")
-    read = _read_table(text)
+    n, d = _read_header(text, "permutation", "N d")
+    darts = _read_table(text)
     images = None
-    if read is not None:
-        (n, d), darts = read
+    if darts is not None:
         darts -= 1  # unsigned: a 0 wraps above every bound
         if darts.shape == (n * d, 4) and all(
                 darts[:, k].max() < bound for k, bound in enumerate((n, d, n, d))):
@@ -456,15 +449,14 @@ def parse_perm(text: str) -> ShiftPermutation:
             dst = np.multiply(darts[:, 2], d, dtype=np.int64, casting="unsafe")
             np.add(dst, darts[:, 3], out=dst, dtype=np.int64, casting="unsafe")
             dst += 1
-            del read, darts
+            del darts
             images = np.zeros(n * d, dtype=np.int64)
             images[src] = dst
             del src, dst
     # one line per dart, so an unset image means some dart was listed twice
     if images is None or not images.all():
-        _perm_lines(text)
-    images.setflags(write=False)  # range-checked and all set, so adopted unchecked
-    shift = _adopt(ShiftPermutation, num_vertices=n, degree=d, images=images)
+        _perm_lines(text, n, d)
+    shift = _adopt(ShiftPermutation, num_vertices=n, degree=d, images=images)  # checked above
     if not verify_unitary(shift):
         raise MalformedInputError("dart pairs do not form an involutive permutation")
     return shift

@@ -61,5 +61,4 @@ def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> Rotation
     np.add(inner.entries[None], vg * np.arange(vh)[:, None, None], out=clouds[..., :dg])
     np.add(np.arange(1, vg + 1)[None, :, None], vg * (outer.entries[:, None, :] - 1),
            out=clouds[..., dg:])
-    table.setflags(write=False)
     return _adopt(RotationMatrix, entries=table)

@@ -10,6 +10,7 @@ index (v-1)*d + i, 1-indexed.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import warnings
 
 import numpy as np
@@ -38,8 +39,8 @@ class ShiftPermutation:
     rejected there.  Permutations are equal when their vertex counts,
     degrees and images are.  The constructor checks every array it is
     given; :func:`build_shift` and the ``.perm`` reader hand over images
-    they have proven in range, which are adopted by the same rule without
-    those checks.
+    they have proven in range, fresh and int64, which are frozen and
+    adopted as they are, without those checks.
     """
 
     num_vertices: int
@@ -48,12 +49,17 @@ class ShiftPermutation:
     _dtype = np.int64
 
     def __post_init__(self):
-        if self.num_vertices < 1 or self.degree < 1:
-            raise MalformedInputError(
-                f"need positive vertex count and degree, got {self.num_vertices}, {self.degree}"
-            )
+        try:
+            n, d = operator.index(self.num_vertices), operator.index(self.degree)
+        except TypeError:
+            raise MalformedInputError(f"vertex count and degree must be integers, got "
+                                      f"{self.num_vertices!r}, {self.degree!r}") from None
+        if n < 1 or d < 1:
+            raise MalformedInputError(f"need positive vertex count and degree, got {n}, {d}")
+        object.__setattr__(self, "num_vertices", n)
+        object.__setattr__(self, "degree", d)
         imgs = _array(self.images, "dart images")
-        size = self.num_vertices * self.degree
+        size = n * d
         if imgs.ndim != 1 or imgs.size != size:
             raise MalformedInputError(f"need {size} dart images, got shape {imgs.shape}")
         if not np.issubdtype(imgs.dtype, np.integer):
@@ -85,9 +91,8 @@ def build_shift(rot: RotationMatrix) -> ShiftPermutation:
     images = rot.entries.ravel() - 1  # a fresh array, filled in place and adopted
     images *= rot.degree
     images += to_full_form(rot).ravel()
-    images.setflags(write=False)  # each dart's partner, in 1..N*d
     return _adopt(ShiftPermutation, num_vertices=rot.num_vertices, degree=rot.degree,
-                  images=images)
+                  images=images)  # each dart's partner, in 1..N*d
 
 
 def verify_unitary(shift: ShiftPermutation) -> bool:

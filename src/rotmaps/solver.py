@@ -88,8 +88,7 @@ def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET)
 
     entries = np.empty_like(scan)
     entries[np.arange(n).repeat(d), np.array(labels) - 1] = scan.ravel()
-    entries.setflags(write=False)  # each row a permutation of its row-scan row, adopted unchecked
-    return _adopt(RotationMatrix, entries=entries)
+    return _adopt(RotationMatrix, entries=entries)  # each row permutes its row-scan row
 
 
 def _check_labels(scan: np.ndarray, entries: np.ndarray) -> RotationMatrix:
@@ -170,5 +169,4 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
 
     entries = np.array(out, dtype=np.int64).T.copy()  # label-major to one row per vertex
     entries += 1
-    entries.setflags(write=False)  # the map adopts the fresh table
     return _check_labels(scan, entries)

@@ -332,11 +332,39 @@ class TestHeaderDartLimit:
                              ids=["canonical", "padded-crlf", "header-only"])
     def test_refused_before_the_text_is_read(self, monkeypatch, parse, kind, text):
         monkeypatch.setattr(rotmaps.io, "_read_table", unreachable)
-        monkeypatch.setattr(rotmaps.io, "_read_header", unreachable)
+        monkeypatch.setattr(rotmaps.io, "_rot_rows", unreachable)
+        monkeypatch.setattr(rotmaps.io, "_perm_lines", unreachable)
         with pytest.raises(ParameterError) as info:
             parse(text)
         assert str(info.value) == (f"{kind} file of 10485761 vertices and degree 2 has 20971522 "
                                    "darts, above the limit of 20971520")
+
+    # every header error is named from the first line, before the body is read
+    @pytest.mark.parametrize("parse,kind,form", [(parse_rot, "rot", "n d"),
+                                                 (parse_perm, "perm", "N d")],
+                             ids=["rot", "perm"])
+    @pytest.mark.parametrize("header,message", [
+        ("", "header must be '{form}', got ''"),
+        ("\n", "header must be '{form}', got ''"),
+        ("+2 1", f"header vertex count: '+2' {REFUSED}"),
+        ("0 1", "header values must be positive, got 0 1"),
+        ("2 1 9", "header must be '{form}', got '2 1 9'"),
+    ], ids=["empty-line", "blank-line", "plus", "zero", "three-tokens"])
+    def test_header_errors_are_named_before_the_body_is_read(
+            self, monkeypatch, torus_texts, parse, kind, form, header, message):
+        text = torus_texts[kind]
+        body = text[text.index("\n"):]  # the C400 x C250 rows, from the header's line end
+        for reader in ("_read_table", "_rot_rows", "_perm_lines"):
+            monkeypatch.setattr(rotmaps.io, reader, unreachable)
+        with pytest.raises(MalformedInputError) as info:
+            parse(header + body)
+        assert str(info.value) == message.format(form=form)
+
+    @pytest.mark.parametrize("parse,kind", [(parse_rot, "rotation"), (parse_perm, "permutation")],
+                             ids=["rot", "perm"])
+    def test_empty_text_is_malformed(self, parse, kind):
+        with pytest.raises(MalformedInputError, match=f"^empty {kind} file$"):
+            parse("")
 
     @pytest.mark.parametrize("parse,message", [
         (parse_rot, "header must be 'n d', got '10485761 2 1'"),

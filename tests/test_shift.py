@@ -129,6 +129,13 @@ class TestShiftPermutation:
         with pytest.raises(MalformedInputError, match="need positive vertex count and degree"):
             ShiftPermutation(num_vertices=n, degree=d, images=np.ones(max(n * d, 0)))
 
+    @pytest.mark.parametrize("n,d,images", [(2.5, 2, [2, 1, 4, 3, 5]), (None, 1, [1]),
+                                            (2, "2", [2, 1, 4, 3])],
+                             ids=["float-count", "none-count", "str-degree"])
+    def test_non_integer_shape_rejected(self, n, d, images):
+        with pytest.raises(MalformedInputError, match="vertex count and degree must be integers"):
+            ShiftPermutation(num_vertices=n, degree=d, images=images)
+
     def test_non_integer_images_rejected(self):
         with pytest.raises(MalformedInputError, match="dart images must be integers"):
             ShiftPermutation(num_vertices=2, degree=1, images=np.array([2.0, 1.0]))

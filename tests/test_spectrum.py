@@ -107,6 +107,9 @@ class TestSpectrum:
             Spectrum(values=[[1], [2, 3]], tolerance=0.0)  # ragged
         with pytest.raises(MalformedInputError):
             Spectrum(values=["a"], tolerance=0.0)  # not a number
+        for tolerance in ("a", None, 1j):  # not a real number
+            with pytest.raises(MalformedInputError, match="tolerance must be a real number"):
+                Spectrum(values=[1.0], tolerance=tolerance)
 
     @pytest.mark.parametrize("values", [[], [[]]])
     def test_empty_values_rejected(self, values):
