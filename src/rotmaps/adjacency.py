@@ -33,9 +33,9 @@ __all__ = [
     "product_property_check",
 ]
 
-# a 256 MB matrix, whose 512 MB .adj text `rotmap solve` reads at a peak of
-# 1.6 GiB of address space with LF or CRLF line ends, and of 2.0 GiB when its
-# lines must be re-joined first (C160xC100 under a 3 GiB RLIMIT_AS)
+# a 256 MB matrix, whose 512 MB canonical .adj text `rotmap solve` reads at a
+# peak of 1.6 GiB of address space (C160xC100 under a 3 GiB RLIMIT_AS); text
+# in another layout is read after two more copies of it
 MAX_ADJ_VERTICES = 16_000
 # eigvalsh holds two float64 copies, 16 n^2 bytes: `rotmap spectrum` peaks at
 # about 1.9 GB of address space at this order
@@ -130,6 +130,8 @@ class Spectrum:
     """All eigenvalues of a symmetric matrix, sorted nonincreasing.
 
     ``tolerance`` records the accuracy target the values were computed to.
+    :func:`spectrum` hands over, unchecked (``core._adopt``), a fresh descending copy of
+    LAPACK's ascending output, on which the sort and NaN checks here cannot fail.
     """
 
     values: np.ndarray
@@ -217,11 +219,11 @@ def spectrum(adj: AdjacencyMatrix) -> Spectrum:
     """
     _require_order(adj.order, "spectrum", MAX_SPECTRUM_VERTICES)
     try:
-        values = np.linalg.eigvalsh(adj.matrix.astype(np.float64))[::-1]
+        values = np.linalg.eigvalsh(adj.matrix.astype(np.float64))[::-1].copy()
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     tolerance = float(np.finfo(np.float64).eps * np.max(np.abs(values)))
-    return Spectrum(values=values, tolerance=tolerance)
+    return _adopt(Spectrum, values=values, tolerance=tolerance)
 
 
 def _require_order(n: int, what: str, limit: int) -> None:

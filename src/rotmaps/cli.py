@@ -23,7 +23,7 @@ from .exceptions import (
     RotmapsError,
     SearchBudgetExceededError,
 )
-from .product import cartesian_rotation
+from .product import _require_product_darts, cartesian_rotation
 from .shift import build_shift
 from .solver import DEFAULT_BUDGET, solve_backtracking, solve_matching
 
@@ -37,20 +37,23 @@ def _emit(output: Path | None, text: str) -> None:
         output.write_text(text)
 
 
-def _read_text(path: Path) -> str:
+def _named(path: Path, read, *args, **kwargs):
+    """``read(*args, **kwargs)``, whose error for bytes that are not UTF-8 text names ``path``."""
     try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedInputError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+        return read(*args, **kwargs)
+    except MalformedInputError as exc:
+        if not isinstance(exc.__cause__, UnicodeDecodeError):
+            raise
+        raise MalformedInputError(f"{path}: {exc}") from None
 
 
 def _load_rot(path: Path, **kwargs):
-    return formats.parse_rot(_read_text(path), **kwargs)
+    return _named(path, formats.parse_rot, path.read_bytes(), **kwargs)
 
 
 def _load_adj(path: Path):
     formats._require_adj_size(path.stat().st_size)  # before the text is read
-    return formats.parse_adj(_read_text(path))
+    return _named(path, formats.parse_adj, path.read_bytes())
 
 
 _GP = (families.generalized_petersen, ("n", "s"), "generalized Petersen graphs need both n and s")
@@ -77,6 +80,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_product(args) -> int:
+    sizes = []
+    for path in (args.inner, args.outer):  # n and d of each factor, before either body is read
+        with path.open("rb") as file:
+            sizes += _named(path, formats._read_header, file.readline(), "rotation", "n d")[2:4]
+    _require_product_darts(*sizes)
     inner = _load_rot(args.inner)
     outer = _load_rot(args.outer)
     rot = cartesian_rotation(inner, outer)

@@ -8,23 +8,14 @@ parse(format(x)) == x is a hard guarantee:
 * ``.adj``:  n rows of n comma-separated 0/1 digits.
 * ``.perm``: header ``N d``, then N*d lines ``v i w j`` pairing darts.
 
-Every .rot and .perm token is a run of 1 to 18 ASCII digits; leading
-zeros are read, and any other token (``+7``, ``-1``, ``1_0``, a non-ASCII
-digit, 19 digits or more) is malformed.  Canonical text is written and
-read with no loop over its tokens or cells; other whitespace layouts
-(tabs, padded tokens, no final newline, CRLF in .adj) are read after one
-pass over their lines that re-joins the tokens.  A .perm line is written
-as the slots of its two darts: one 8-byte word holding ``v i ``
-right-aligned after NUL padding when ``len(str(N)) + len(str(d)) + 2 <= 8``,
-and else the value slots of v and of i, each so padded.
-Refused text is read row by row only to name its first malformed row, and
-an error quotes at most 80 characters of a token or line.
-
-A .rot or .perm header is read first, from the first line alone: every
-header error, and a header ``n d`` that claims more than MAX_DARTS darts,
-is refused before the rows are read and before any array is made.  So is
-an ``.adj`` text longer than that of MAX_ADJ_VERTICES vertices with CRLF
-line ends.
+The readers take bytes or str; one byte table, ``_KIND``, holds the layout
+grammar of all three.  A .rot or .perm token is a run of 1 to 18 ASCII
+digits, leading zeros read.  A header is read from its first line alone,
+so a header error, or a header ``n d`` of more than MAX_DARTS darts, is
+refused before any array is made, as is .adj text longer than
+MAX_ADJ_VERTICES allows.  A body is read, or its first defect named, in
+one pass over its bytes, in any layout.  An error quotes at most 80
+characters of a token or line.
 
 Plus one-way exports: DOT (undirected graph, each edge labeled with its two
 ports) and JSON (``{"n":…,"d":…,"rot":[[…]]}``), written by the .rot writer
@@ -55,43 +46,71 @@ __all__ = [
     "format_json",
 ]
 
+# The layout grammar: the ASCII whitespace of str.split separates tokens, or
+# ends a line where str.splitlines does.  _KIND classes each non-digit byte.
+_SEPARATORS = b" \t\x1f"
+_LINE_ENDS = b"\n\r\v\f\x1c\x1d\x1e"
+_LINE, _OTHER = 1, 2
+_KIND = bytes(0 if b in _SEPARATORS else _LINE if b in _LINE_ENDS else _OTHER for b in range(256))
+_LINE_END = b"[" + re.escape(_LINE_ENDS) + b"]"  # compiled on first use, not at import
+_TOKEN = b"[^" + re.escape(_SEPARATORS) + b"]+"
+_TO_LF = bytes.maketrans(_LINE_ENDS, b"\n" * len(_LINE_ENDS))
+# The rest of that whitespace is outside ASCII.  NEL, U+2028 and U+2029 end
+# lines, as VT: an LF would join a CR before it into one line end.
+_NON_ASCII_SPACE = str.maketrans(
+    "\x85\u2028\u2029\xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200B))),
+    "\v" * 3 + " " * 16)
 
-def _quote(token: str) -> str:
-    """``repr`` of at most 80 characters of ``token``, for a one-line error message."""
+
+def _ascii(text: bytes | str) -> tuple[bytes, bytes | str]:
+    """``text`` as ASCII bytes, one per character, and the text an error message quotes.
+
+    CRLF is made LF in both, and the bytes end with a line end.  Text with a byte above 0x7f is
+    decoded as strict UTF-8, ``_NON_ASCII_SPACE`` maps its whitespace, and the rest becomes '?'.
+    """
+    if text.isascii():  # a scan for CR costs far less than a replace that finds none
+        data = text.encode("ascii") if isinstance(text, str) else text
+        source = data = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+    else:
+        try:
+            source = (text if isinstance(text, str) else text.decode("utf-8")).replace("\r\n", "\n")
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(f"byte {exc.start} is not UTF-8 text") from exc
+        data = source.translate(_NON_ASCII_SPACE).encode("ascii", "replace")
+    if data and data[-1] not in _LINE_ENDS:
+        data += b"\n"
+    return data, source
+
+
+def _quote(token: bytes | str) -> str:
+    """``repr`` of at most 80 characters of ``token``, ASCII bytes read as text, for an error."""
+    token = token.decode("ascii") if isinstance(token, bytes) else token
     return repr(token) if len(token) <= 80 else f"{token[:80]!r}..."
 
 
-def _number(token: str, what: str) -> int:
-    """``token`` as an int, when it is a run of 1 to 18 ASCII digits, as every token must be."""
-    if not (token.isascii() and token.isdigit() and len(token) <= 18):
-        raise MalformedInputError(f"{what}: {_quote(token)} is not a run of 1 to 18 ASCII digits")
-    return int(token)
+def _not_a_number(token: bytes | str, what: str) -> MalformedInputError:
+    """The error for a token that is not a run of 1 to 18 ASCII digits, as every token must be."""
+    return MalformedInputError(f"{what}: {_quote(token)} is not a run of 1 to 18 ASCII digits")
 
 
-# the line ends of str.splitlines, compiled on first use and not at import
-_LINE_END = "[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
-
-
-def _read_header(text: str, kind: str, form: str) -> tuple[int, int]:
-    """The two positive header values of .rot or .perm text, read from its first line alone.
-
-    Only the text up to the first line end is read, so every header error,
-    and a header ``n d`` with n*d above MAX_DARTS, is refused before any
-    pass over the body and before any array is made.
-    """
-    if not text:
+def _read_header(text: bytes | str, kind: str, form: str):
+    """``_ascii(text)``, and the two positive values on its first line and its body's offset."""
+    data, source = _ascii(text)
+    if not data:
         raise MalformedInputError(f"empty {kind} file")
-    end = re.search(_LINE_END, text)
-    line = text[:end.start() if end else len(text)]
-    header = line.split(maxsplit=2)
+    stop = re.search(_LINE_END, data).start()  # the bytes end with a line end
+    tokens = (source[m.start():m.end()] for m in re.finditer(_TOKEN, data[:stop]))
+    header = [token for _, token in zip(range(3), tokens)]
     if len(header) != 2:
-        raise MalformedInputError(f"header must be '{form}', got {_quote(line)}")
-    n = _number(header[0], "header vertex count")
-    d = _number(header[1], "header degree")
+        raise MalformedInputError(f"header must be '{form}', got {_quote(source[:stop])}")
+    for token, what in zip(header, ("header vertex count", "header degree")):
+        if not (token.isascii() and token.isdigit() and len(token) <= 18):
+            raise _not_a_number(token, what)
+    n, d = map(int, header)
     if n < 1 or d < 1:
         raise MalformedInputError(f"header values must be positive, got {n} {d}")
     _require_darts(n * d, f"{kind} file of {n} vertices and degree {d}")
-    return n, d
+    return data, source, n, d, stop + 1
 
 
 def _unsigned(top: int) -> type:
@@ -153,127 +172,116 @@ def _format_rows(header: str, table: np.ndarray, ends: bytes = b"",
     return text.decode("ascii")
 
 
-def _canonical_table(data: bytes) -> np.ndarray | None:
-    """The unsigned body rows of canonical .rot or .perm text, or None.
+def _scan(buf: np.ndarray):
+    """The offset of each byte of a body that is no digit, and the count of digits before it."""
+    stops = np.flatnonzero(buf - np.uint8(ord("0")) > 9)  # the digits go to 0..9, the rest above
+    gaps = np.empty(stops.size, dtype=np.uint8)
+    gaps[:1] = stops[:1]
+    np.subtract(stops[1:], stops[:-1], out=gaps[1:], casting="unsafe")
+    gaps[1:] -= 1
+    if stops.size and int(gaps.sum()) != stops[-1] + 1 - stops.size:  # a uint8 count wrapped
+        gaps = np.minimum(np.diff(stops, prepend=-1) - 1, 255).astype(np.uint8)
+    return stops, gaps
 
-    Canonical text is a header ``a b`` and then rows of equally many runs of
-    at most 18 digits, one space between runs and ``\n`` after each line;
-    ``\r\n`` line ends are read as ``\n``.  Text with a byte above '9', as
-    every non-ASCII byte is, is refused at once, so one uint8 comparison
-    finds the bytes below '0' that end the tokens.  The token lengths are
-    uint8; a length past 255 wraps, which the check that they sum to the
-    digit bytes catches.  Each value is built by Horner's rule in uint32,
-    or in uint64 when some token has more than 9 digits, from one uint8
-    gather per digit place.  The gather's index is the array of token ends,
-    moved in place, so besides it and the values each array of one element
-    per token is uint8 and made once.  The header's layout is checked here
-    and its values dropped: :func:`_read_header` reads them.
+
+def _lines(buf: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which stops of a body are of no class of the grammar, and the stop ending each line."""
+    kinds = np.frombuffer(buf[stops].tobytes().translate(_KIND), dtype=np.uint8)
+    return kinds == _OTHER, np.flatnonzero(kinds == _LINE)
+
+
+def _first(mask: np.ndarray) -> int:
+    """The index of the first True in ``mask``, or its size when there is none."""
+    return int(np.argmax(np.append(mask, True)))
+
+
+def _line(data: bytes, source, start: int, k: int) -> str:
+    """Body line ``k`` (from 0) less its line end, quoted, from a pass of its own."""
+    buf = np.frombuffer(data, dtype=np.uint8)[start:]
+    stops = _scan(buf)[0]
+    ends = _lines(buf, stops)[1]
+    first = stops[ends[k - 1]] + 1 if k else 0
+    return _quote(source[start + first:start + stops[ends[k]]])
+
+
+def _canonical_table(data: bytes, start: int, source, shape: tuple[int, int], what: str,
+                     lines: str, miscount) -> tuple[np.ndarray, MalformedInputError | None]:
+    """The rows of a body, ``data[start:]``, as an unsigned table up to its first defect, and that.
+
+    Canonical text (a space after each token but a row's last) is read at
+    once, any other layout after :func:`_lines`, which names the first
+    defect a line-by-line read meets: a wrong number of ``lines``, of a
+    row's tokens (``miscount(row, count)``), or a token that is no run of 1
+    to 18 digits.  Values are built by Horner's rule, one gather per place.
     """
-    if b"\r" in data:  # a scan for '\r' costs far less than a replace that finds none
-        data = data.replace(b"\r\n", b"\n")
-    if not data.endswith(b"\n"):
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if buf.max() > ord("9"):
-        return None
-    ends = np.flatnonzero(buf < ord("0"))
-    if ends.size < 3:
-        return None
-    lengths = np.empty(ends.size, dtype=np.uint8)  # one less than the gap between ends
-    lengths[:1] = ends[:1] + 1
-    np.subtract(ends[1:], ends[:-1], out=lengths[1:], casting="unsafe")
-    lengths -= 1
-    top = int(lengths.max())
-    if lengths.min() < 1 or top > 18 or int(lengths.sum()) != buf.size - ends.size:
-        return None  # an empty token, one of 19 digits or more (int64 holds 18), or a wrap
-    seps = buf[ends]
-    width = int(np.argmax(seps[2:] == ord("\n"))) + 1
-    layout = np.array([ord(" ")] * (width - 1) + [ord("\n")], dtype=np.uint8)
-    if (seps[:2].tolist() != [ord(" "), ord("\n")] or (ends.size - 2) % width
-            or not (seps[2:].reshape(-1, width) == layout).all()):
-        return None
-    del seps
-    values = np.zeros(ends.size, dtype=_unsigned(10**top - 1))
-    digits = np.empty(ends.size, dtype=np.uint8)
-    shown = np.empty(ends.size, dtype=bool)
-    ends -= top  # the window index, moved one place right per digit place
+    rows, width = shape
+    buf = np.frombuffer(data, dtype=np.uint8)[start:]
+    stops, gaps = _scan(buf)
+    row, error = rows, None
+    if not (stops.size == rows * width and gaps.min() >= 1 and gaps.max() <= 18 and (
+            buf[stops].reshape(rows, width) == bytearray(b" " * (width - 1) + b"\n")).all()):
+        other, ends = _lines(buf, stops)
+        if ends.size != rows:
+            raise MalformedInputError(f"expected {rows} {lines}, got {ends.size}")
+        token = min(_first(gaps > 18), _first(other))
+        token += _first(~other[token:])  # the end of the first token that is no run of digits
+        blank = gaps == 0  # the stops that end no token
+        blank[1:] &= ~other[:-1]
+        blank |= other
+        del other
+        counts = np.empty_like(ends)  # the tokens of each line
+        counts[0] = ends[0] + 1
+        np.subtract(ends[1:], ends[:-1], out=counts[1:])
+        np.subtract.at(counts, np.searchsorted(ends, np.flatnonzero(blank)), 1)
+        row = min(_first(counts != width), int(np.searchsorted(ends, token)))
+        if row < rows and counts[row] != width:
+            error = MalformedInputError(miscount(row + 1, counts[row]))
+        elif row < rows:  # the token runs back to a separator or line end, the header's at least
+            end = start + stops[token]
+            first = max(data.rfind(byte, start - 1, end) for byte in _SEPARATORS + _LINE_ENDS) + 1
+            error = _not_a_number(source[first:end], f"{what} {row + 1}")
+        cut = ends[row - 1] + 1 if row else 0
+        del ends, counts
+        stops, gaps, blank = stops[:cut], gaps[:cut], blank[:cut]
+        if blank.any():
+            stops, gaps = stops[~blank], gaps[~blank]
+        del blank  # each array goes once spent, which lowers the peak
+    top = int(gaps.max(initial=0))
+    values = np.zeros(stops.size, dtype=_unsigned(10**top - 1))
+    digits, shown = np.empty(stops.size, dtype=np.uint8), np.empty(stops.size, dtype=bool)
+    stops -= top  # the window index, moved one place right per digit place
     for place in range(top, 0, -1):
         # an index before the text is clipped to 0; its token is shorter than place
-        np.take(buf, ends, out=digits, mode="clip")
+        np.take(buf, stops, out=digits, mode="clip")
         digits -= ord("0")
-        np.greater_equal(lengths, place, out=shown)  # shorter tokens have no digit here
+        np.greater_equal(gaps, place, out=shown)  # shorter tokens have no digit here
         digits *= shown
         values *= 10
         values += digits
-        ends += 1
-    return values[2:].reshape(-1, width)
-
-
-def _read_table(text: str) -> np.ndarray | None:
-    """The byte pass over .rot or .perm text, or else over the text with its lines re-joined.
-
-    Both texts are encoded the same way, as UTF-8 with ``surrogatepass``.
-    That encodes every code point, a lone surrogate too, so it cannot
-    raise, and it puts every non-ASCII character above '9', where the byte
-    pass refuses it.  The re-joined text is freed once encoded, before its
-    byte pass runs.
-    """
-    read = _canonical_table(text.encode("utf-8", "surrogatepass"))
-    if read is None:
-        read = _canonical_table(_rejoin(text, " ").encode("utf-8", "surrogatepass"))
-    return read
-
-
-def _rejoin(text: str, sep: str) -> str:
-    """``text`` with each line's tokens joined by ``sep`` and every line ended by ``\n``.
-
-    This makes any whitespace layout of well-formed text canonical.  Each
-    line is replaced in place, so only one list of lines is held at a time.
-    """
-    lines = text.splitlines()
-    for k, line in enumerate(lines):
-        lines[k] = sep.join(line.split())
-    lines.append("")  # the final newline
-    return "\n".join(lines)
+        stops += 1
+    return values.reshape(row, width), error
 
 
 def format_rot(rot: RotationMatrix) -> str:
     return _format_rows(f"{rot.num_vertices} {rot.degree}", rot.entries)
 
 
-def _rot_rows(text: str, n: int, d: int) -> NoReturn:
-    """Raise the error naming the first malformed body row of .rot text the byte pass refused."""
-    rows = text.splitlines()[1:]
-    if len(rows) != n:
-        raise MalformedInputError(f"expected {n} rows after the header, got {len(rows)}")
-    for number, line in enumerate(rows, start=1):
-        parts = line.split()
-        if len(parts) != d:
-            raise MalformedInputError(f"row {number}: expected {d} entries, got {len(parts)}")
-        what = f"row {number}"
-        for part in parts:
-            _number(part, what)
-    raise MalformedInputError("malformed rotation file")
-
-
-def parse_rot(text: str, *, require_valid_map: bool = True) -> RotationMatrix:
+def parse_rot(text: bytes | str, *, require_valid_map: bool = True) -> RotationMatrix:
     """Strict parse of the .rot format.
 
-    The header ``n d`` is read first, from the first line alone: a
-    malformed header is refused with MalformedInputError, and one with n*d
-    above MAX_DARTS with ParameterError, before the rows are read.  The
-    text is then read in one pass over its bytes, after one pass over its
-    lines when it is not canonical (tabs, padded tokens, no final newline).
-    Text that pass refuses, or rows that are not n by d, are malformed,
-    and the error names the first malformed row.  By default the parsed
-    table must also be a valid map (that is part of the format contract);
-    pass ``require_valid_map=False`` to get the raw table for diagnostic
-    reporting.
+    A malformed header is refused with MalformedInputError, and one with
+    n*d above MAX_DARTS with ParameterError, from the first line alone; a
+    body other than n rows of d runs of digits is malformed.  The table
+    must also be a valid map, unless ``require_valid_map=False`` asks for
+    the raw table for diagnostic reporting.
     """
-    n, d = _read_header(text, "rotation", "n d")
-    rows = _read_table(text)
-    if rows is None or rows.shape != (n, d):
-        _rot_rows(text, n, d)
+    data, source, n, d, start = _read_header(text, "rotation", "n d")
+    rows, error = _canonical_table(
+        data, start, source, (n, d), "row", "rows after the header",
+        lambda row, count: f"row {row}: expected {d} entries, got {count}")
+    del data, source  # an encoded copy goes before the table is checked
+    if error is not None:
+        raise error
     table = rows.astype(np.int64)
     table.setflags(write=False)  # the map adopts the fresh table
     rot = RotationMatrix(table)
@@ -301,25 +309,21 @@ def _require_adj_size(size: int) -> None:
                              f"({MAX_ADJ_VERTICES} vertices)")
 
 
-def _adj_cells(text: str) -> np.ndarray | None:
-    """The 0/1 cells of canonical .adj text as a read-only uint8 matrix, or None.
+def _adj_cells(text: bytes | str) -> np.ndarray | None:
+    """The 0/1 cells of canonical .adj text or bytes as a read-only uint8 matrix, or None.
 
     Canonical text is n rows of 2n bytes: a digit in each even column, ','
     in each other column but the last, and '\n' in the last.  Each cell and
-    the byte after it are read as one little-endian uint16, so one
-    subtraction of b"0," (0x2C30) takes "0," and "1," to 0 and 1; adding
-    0x2200 to the last column then takes "0\n" and "1\n" there to 0 and 1.
-    Every other pair wraps past 1, so one max() checks each cell and
-    separator at once.
+    the byte after it are one little-endian uint16, so one subtraction of
+    b"0," (0x2C30), and of b"0\n" in the last column, takes each to 0 or 1
+    and every other pair past 1, which one max() finds.
     """
-    if not text.isascii():
-        return None
     n = math.isqrt(len(text) // 2)
-    if n < 1 or len(text) != 2 * n * n:
+    if n < 1 or len(text) != 2 * n * n or not text.isascii():
         return None
-    data = text.encode("ascii")
+    data = text.encode("ascii") if isinstance(text, str) else text
     pairs = np.frombuffer(data, dtype="<u2").reshape(n, n) - np.uint16(0x2C30)  # b"0,"
-    del data  # freed before the cells are made, which lowers the peak
+    del data  # an encoded copy goes before the cells are made, which lowers the peak
     pairs[:, -1] += np.uint16(0x2200)  # b"0\n" + 0x2200 is b"0,"
     if pairs.max() > 1:
         return None
@@ -333,34 +337,30 @@ def _adj_rows(text: str) -> NoReturn:
     lines = text.splitlines()
     if not lines:
         raise MalformedInputError("empty adjacency file")
-    n = len(lines)
     for number, line in enumerate(lines, start=1):
         parts = line.split(",")
-        if len(parts) != n:
+        if len(parts) != len(lines):
             raise MalformedInputError(
-                f"row {number}: expected {n} comma-separated entries, got {len(parts)}")
+                f"row {number}: expected {len(lines)} comma-separated entries, got {len(parts)}")
         bad = next((t for t in map(str.strip, parts) if t not in ("0", "1")), None)
         if bad is not None:
             raise MalformedInputError(f"row {number}: entry {_quote(bad)} is not 0 or 1")
     raise MalformedInputError("malformed adjacency file")
 
 
-def parse_adj(text: str) -> AdjacencyMatrix:
+def parse_adj(text: bytes | str) -> AdjacencyMatrix:
     """Strict parse of the .adj format (symmetry and zero diagonal enforced).
 
-    Canonical text is read in one pass over its bytes.  Any other layout
-    (CRLF, padded cells, no final newline) is read in that pass after one
-    pass over its lines that drops their whitespace; only malformed text is
-    then read row by row, which names the first malformed row.  Text longer
-    than that of MAX_ADJ_VERTICES vertices is refused with ParameterError
-    before any array is made.
+    Canonical text is read in one pass over its bytes, any other layout once
+    the byte table has made its line ends LF and dropped its separators, and
+    malformed text row by row, to name its first malformed row.
     """
     _require_adj_size(len(text))
     cells = _adj_cells(text)
     if cells is None:
-        cells = _adj_cells(_rejoin(text, ""))
-    if cells is None:
-        _adj_rows(text)
+        cells = _adj_cells(_ascii(text)[0].translate(_TO_LF, _SEPARATORS))
+        if cells is None:
+            _adj_rows(text if isinstance(text, str) else text.decode("utf-8"))
     return AdjacencyMatrix(cells)
 
 
@@ -404,62 +404,48 @@ def format_perm(shift: ShiftPermutation) -> str:
                         b" \n", _dart_slots(n, d))
 
 
-def _perm_lines(text: str, n: int, d: int) -> NoReturn:
-    """Raise the error naming the first malformed dart line of .perm text the byte pass refused."""
-    lines = text.splitlines()[1:]
-    if len(lines) != n * d:
-        raise MalformedInputError(f"expected {n * d} dart lines, got {len(lines)}")
-    seen = bytearray(n * d)
-    for number, line in enumerate(lines, start=1):
-        parts = line.split()
-        if len(parts) != 4:
-            raise MalformedInputError(f"line {number}: expected 'v i w j', got {_quote(line)}")
-        what = f"line {number}"
-        v, i, w, j = (_number(p, what) for p in parts)
-        if not (1 <= v <= n and 1 <= i <= d and 1 <= w <= n and 1 <= j <= d):
-            raise MalformedInputError(f"line {number}: dart out of range: {_quote(line)}")
-        src = (v - 1) * d + i - 1
-        if seen[src]:
-            raise MalformedInputError(f"line {number}: dart ({v}, {i}) listed twice")
-        seen[src] = 1
-    raise MalformedInputError("malformed permutation file")
-
-
-def parse_perm(text: str) -> ShiftPermutation:
+def parse_perm(text: bytes | str) -> ShiftPermutation:
     """Strict parse of the .perm format; the pairs must form an involutive permutation.
 
-    The header ``N d`` is read first, from the first line alone: a
-    malformed header is refused with MalformedInputError, and one with N*d
-    above MAX_DARTS with ParameterError, before the dart lines are read.
-    The text is then read in one pass over its bytes, after one pass over
-    its lines when it is not canonical.  Text that pass refuses, other than
-    N*d lines of four tokens, or darts out of range or listed twice, is
-    malformed, and the error names the first malformed line.
+    The header ``N d`` is read as :func:`parse_rot` reads ``n d``.  A body
+    other than N*d lines of four runs of digits, or with darts out of range
+    or listed twice, is malformed, and the error names its first defect.
     """
-    n, d = _read_header(text, "permutation", "N d")
-    darts = _read_table(text)
-    images = None
-    if darts is not None:
-        darts -= 1  # unsigned: a 0 wraps above every bound
-        if darts.shape == (n * d, 4) and all(
-                darts[:, k].max() < bound for k, bound in enumerate((n, d, n, d))):
-            # intp from here: the scatter takes its index without a copy
-            src = np.multiply(darts[:, 0], d, dtype=np.intp, casting="unsafe")
-            np.add(src, darts[:, 1], out=src, dtype=np.intp, casting="unsafe")
-            dst = np.multiply(darts[:, 2], d, dtype=np.int64, casting="unsafe")
-            np.add(dst, darts[:, 3], out=dst, dtype=np.int64, casting="unsafe")
-            dst += 1
-            del darts
-            images = np.zeros(n * d, dtype=np.int64)
-            images[src] = dst
-            del src, dst
-    # one line per dart, so an unset image means some dart was listed twice
-    if images is None or not images.all():
-        _perm_lines(text, n, d)
-    shift = _adopt(ShiftPermutation, num_vertices=n, degree=d, images=images)  # checked above
-    if not verify_unitary(shift):
-        raise MalformedInputError("dart pairs do not form an involutive permutation")
-    return shift
+    data, source, n, d, start = _read_header(text, "permutation", "N d")
+    darts, error = _canonical_table(
+        data, start, source, (n * d, 4), "line", "dart lines",
+        lambda row, _: f"line {row}: expected 'v i w j', got {_line(data, source, start, row - 1)}")
+    darts -= 1  # unsigned: a 0 wraps above every bound
+    out = [darts[:, k] >= bound for k, bound in enumerate((n, d, n, d))
+           if darts[:, k].max(initial=0) >= bound]
+    last = _first(np.logical_or.reduce(out)) if out else len(darts)  # the first line out of range
+    # intp from here: the scatter takes its index without a copy
+    src = np.multiply(darts[:last, 0], d, dtype=np.intp, casting="unsafe")
+    np.add(src, darts[:last, 1], out=src, dtype=np.intp, casting="unsafe")
+    if last == n * d:  # every line read and in range
+        dst = np.multiply(darts[:, 2], d, dtype=np.int64, casting="unsafe")
+        np.add(dst, darts[:, 3], out=dst, dtype=np.int64, casting="unsafe")
+        dst += 1
+        del darts
+        images = np.zeros(n * d, dtype=np.int64)
+        images[src] = dst
+        del dst
+        # one line per dart, so an unset image means some dart was listed twice
+        if images.all():
+            shift = _adopt(ShiftPermutation, num_vertices=n, degree=d, images=images)  # as checked
+            if not verify_unitary(shift):
+                raise MalformedInputError("dart pairs do not form an involutive permutation")
+            return shift
+    order = np.argsort(src, kind="stable")  # a line whose dart an earlier line listed
+    twice = order[1:][np.diff(src[order]) == 0]
+    if twice.size:
+        k = int(twice.min())
+        v, i = divmod(int(src[k]), d)
+        raise MalformedInputError(f"line {k + 1}: dart ({v + 1}, {i + 1}) listed twice")
+    if out:
+        raise MalformedInputError(f"line {last + 1}: dart out of range: "
+                                  f"{_line(data, source, start, last)}")
+    raise error
 
 
 def format_dot(rot: RotationMatrix) -> str:

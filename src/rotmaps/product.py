@@ -27,6 +27,11 @@ from .exceptions import InconsistentInputWarning
 __all__ = ["cartesian_rotation"]
 
 
+def _require_product_darts(vg: int, dg: int, vh: int, dh: int) -> None:
+    """Refuse a product of more than MAX_DARTS darts from its factors' sizes alone."""
+    _require_darts(vg * vh * (dg + dh), f"product of {vh} clouds of {vg} vertices")
+
+
 def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> RotationMatrix:
     """Product rotation map; consistent whenever both factors are.
 
@@ -36,9 +41,8 @@ def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> Rotation
     longer guaranteed.  Costs O(n*d) for the n*d entries of the product; a
     product of more than MAX_DARTS darts is rejected before it is built.
     """
-    vg, vh = inner.num_vertices, outer.num_vertices
-    _require_darts(vg * vh * (inner.degree + outer.degree),
-                  f"product of {vh} clouds of {vg} vertices")
+    vg, vh, dg = inner.num_vertices, outer.num_vertices, inner.degree
+    _require_product_darts(vg, dg, vh, outer.degree)
     rep_inner = _require_valid(inner)
     rep_outer = _require_valid(outer)
     if not (rep_inner.is_consistent and rep_outer.is_consistent):
@@ -55,7 +59,6 @@ def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> Rotation
         )
     # filled in place by the two rules through a view with axes (cloud,
     # in-cloud vertex, port), then adopted by the map
-    dg = inner.degree
     table = np.empty((vg * vh, dg + outer.degree), dtype=np.int64)
     clouds = table.reshape(vh, vg, -1)
     np.add(inner.entries[None], vg * np.arange(vh)[:, None, None], out=clouds[..., :dg])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rotmaps.adjacency
+import rotmaps.io
 from rotmaps import (
     RotationMatrix,
     adjacency_from_rotation,
@@ -155,6 +156,21 @@ class TestProduct:
     def test_missing_file(self, tmp_path, capsys):
         c4 = write(tmp_path, "c4.rot", format_rot(cycle(4)))
         assert main(["product", str(tmp_path / "absent.rot"), c4]) == 2
+
+    def test_product_past_max_darts_refused_from_the_headers(self, tmp_path, capsys, monkeypatch):
+        # 4096 * 4096 * (2 + 2) darts is above MAX_DARTS; each body is one
+        # malformed row, and neither is read
+        def unread(*args):
+            raise AssertionError("a body was read")
+
+        monkeypatch.setattr(rotmaps.io, "_scan", unread)
+        inner = write(tmp_path, "inner.rot", "4096 2\n2 x\n")
+        outer = write(tmp_path, "outer.rot", "4096\t2\r\n+1\r\n")
+        assert main(["product", inner, outer]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: product of 4096 clouds of 4096 vertices has 67108864 "
+                                f"darts, above the limit of {MAX_DARTS}\n")
 
 
 class TestVerify:

@@ -15,10 +15,10 @@ at the byte pass's limits of token length and range, and
 ``reference_slots``, byte for byte, as must ``format_dot`` and
 ``format_json`` with ``reference_format_dot`` and ``reference_format_json``,
 the per-edge ``%``-format and the ``json.dumps`` exports they replaced.
-The library's row readers only name errors, so a byte pass that wrongly
-refuses good text fails these comparisons.  Canonical text, and CRLF .rot
-and .perm text, must be read without a re-join of its lines, since the
-re-joined text would read the same.
+The references share no code with the byte pass that reads and refuses
+.rot and .perm text, so a pass that wrongly refuses good text, or names
+the wrong defect, fails these comparisons.  Canonical text, and CRLF .rot
+and .perm text, must be read without the step for other layouts.
 ``solve_matching`` must write the same ``.rot`` text as
 ``reference_solve_matching``, the per-arc loop it replaced.
 """
@@ -554,7 +554,7 @@ def fallback_ran(*args):
 def test_adj_round_trip(adj):
     text = format_adj(adj)
     with pytest.MonkeyPatch.context() as patched:  # canonical text is read in one byte pass
-        patched.setattr(rotmaps.io, "_rejoin", fallback_ran)
+        patched.setattr(rotmaps.io, "_ascii", fallback_ran)
         assert parse_adj(text) == adj
         assert format_adj(parse_adj(text)) == text
 
@@ -625,7 +625,7 @@ def test_parse_adj_agrees_with_cell_by_cell_read(layout_and_text):
     assert outcome(parse_adj, text) == reference
     if layout == "canonical":  # read in one byte pass
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(rotmaps.io, "_rejoin", fallback_ran)
+            patched.setattr(rotmaps.io, "_ascii", fallback_ran)
             assert outcome(parse_adj, text) == reference
 
 
@@ -713,8 +713,14 @@ MUTATIONS = [
     "tab-separated", "padded", "padded-no-final-newline",
     "unterminated-extra-row", "trailing-blank-line", "blank-row", "repeated-row", "header-split",
     "header-only", "changed-token", "leading-zeros", "plus", "underscore", "non-ascii-digit",
-    "19-digits", "lone-cr", "corrupt",
+    "19-digits", "lone-cr", "corrupt", "vt", "ff", "file-separator", "unit-separator", "nel",
+    "line-separator", "nbsp", "ideographic-space", "lone-surrogate", "count-and-token",
+    "token-after-duplicate",
 ]
+# each line end or separator these mutations put in, outside ASCII too
+OTHER_WHITESPACE = {"vt": "\v", "ff": "\f", "file-separator": "\x1c", "nel": "\x85",
+                    "line-separator": "\u2028", "unit-separator": "\x1f", "nbsp": "\xa0",
+                    "ideographic-space": "\u3000"}
 
 
 @st.composite
@@ -729,7 +735,11 @@ def table_texts(draw, mutation):
     whole layout (tabs between all tokens, padded lines), missing, blank or
     extra lines, leading zeros (refused past 18 digits), tokens that ``int``
     accepts but the format does not (``+7``, ``1_0``, a non-ASCII digit,
-    19 digits), changed values and stray bytes.
+    19 digits), changed values and stray bytes.  Other line ends (VT, FF,
+    ``\x1c``, NEL, U+2028) and separators (``\x1f``, NBSP, U+3000) replace
+    one or all of the canonical ones; a lone surrogate goes into a token.  A
+    row gets both a token too many and a bad token, and a .perm bad token
+    comes after a line that repeats an earlier line's dart.
     """
     wide = draw(st.booleans())
     kind = "rot" if draw(st.booleans()) else "perm"
@@ -793,6 +803,25 @@ def mutated(draw, mutation, text):
             value = draw(st.integers(10**18, 2**63 - 1) | st.integers(2**63, 10**19 - 1))
         end = re.match(r"\d+", text[at:]).end() + at
         return text[:at] + str(value) + text[end:]
+    if mutation in OTHER_WHITESPACE:
+        line_end = mutation in ("vt", "ff", "file-separator", "nel", "line-separator")
+        canonical = "\n" if line_end else " "
+        if draw(st.booleans()):
+            return text.replace(canonical, OTHER_WHITESPACE[mutation])
+        k = draw(st.sampled_from([k for k, c in enumerate(text) if c == canonical]))
+        return text[:k] + OTHER_WHITESPACE[mutation] + text[k + 1:]
+    if mutation == "lone-surrogate":
+        return text[:at] + "\ud800" + text[at + draw(st.sampled_from([0, 1])):]
+    if mutation in ("count-and-token", "token-after-duplicate"):
+        lines = text.split("\n")  # the header, the rows and "" after the final newline
+        first, later = sorted(draw(st.lists(st.integers(1, len(lines) - 2), min_size=2,
+                                            max_size=2, unique=True)))
+        if mutation == "count-and-token":
+            lines[later] += " x"
+        else:
+            lines[later] = lines[first]
+            lines[-2] = lines[-2].replace(" ", "y ", 1)  # on the last row, perhaps the repeat
+        return "\n".join(lines)
     if mutation == "lone-cr":
         k = draw(st.integers(0, len(text)))
         return text[:k] + "\r" + text[k:]
@@ -834,11 +863,11 @@ def assert_readers_agree(text):
 def test_rot_and_perm_readers_agree_with_line_by_line_reference(mutation, data):
     kind, text = data.draw(table_texts(mutation))
     assert_readers_agree(text)
-    if mutation in ("canonical", "crlf"):  # the text's own reader takes it in one byte pass
+    if mutation in ("canonical", "crlf"):  # read with no step for other layouts
         own = {"rot": lambda t: parse_rot(t, require_valid_map=False), "perm": parse_perm}[kind]
         expected = read_outcome(own, text)
         with pytest.MonkeyPatch.context() as patched:
-            patched.setattr(rotmaps.io, "_rejoin", fallback_ran)
+            patched.setattr(rotmaps.io, "_lines", fallback_ran)
             assert read_outcome(own, text) == expected
 
 

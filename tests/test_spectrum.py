@@ -66,6 +66,12 @@ class TestSpectrum:
     def test_k2(self):
         assert np.allclose(spectrum(K2_ADJ).values, [1.0, -1.0], atol=1e-10)
 
+    @pytest.mark.parametrize("rot", [cycle(8), complete(7), hypercube(4)], ids=["C8", "K7", "Q4"])
+    def test_values_are_adopted_read_only_and_own_their_data(self, rot):
+        values = spectrum(adjacency_from_rotation(rot)).values
+        assert not values.flags.writeable and values.flags.owndata and values.flags.c_contiguous
+        assert values.dtype == np.float64 and (np.diff(values) <= 0).all()
+
     def test_k3(self):
         # characteristic polynomial -(x - 2)(x + 1)^2
         assert np.allclose(spectrum(K3_ADJ).values, [2.0, -1.0, -1.0], atol=1e-8)
