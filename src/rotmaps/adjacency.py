@@ -33,9 +33,10 @@ __all__ = [
     "product_property_check",
 ]
 
-# a 256 MB matrix, whose 512 MB canonical .adj text `rotmap solve` reads at a
-# peak of 1.6 GiB of address space (C160xC100 under a 3 GiB RLIMIT_AS); text
-# in another layout is read after two more copies of it
+# a 256 MB matrix, whose 512 MB canonical .adj text `rotmap solve` and
+# `rotmap from-adjacency` read at a peak of 1.33 GiB of address space (VmPeak
+# of C160xC100 under a 3 GiB RLIMIT_AS); text in another layout is read after
+# two more copies of it
 MAX_ADJ_VERTICES = 16_000
 # eigvalsh holds two float64 copies, 16 n^2 bytes: `rotmap spectrum` peaks at
 # about 1.9 GB of address space at this order
@@ -107,7 +108,18 @@ class AdjacencyMatrix:
         table = np.empty((n, d), dtype=np.int64)  # cells is a view: its table is fresh
         np.remainder(cells, n, out=table.reshape(-1))
         table += 1
-        return _adopt(RotationMatrix, entries=table)
+
+        def pairing():
+            # the darts come tail by tail, so a stable sort by head lists those
+            # entering w by their tails, as row w lists them: the k-th is the
+            # partner of dart (w, k), and the sort's output, an involution, gives
+            # each dart's partner; a radix sort where the heads fit 16 bits
+            ports = np.argsort(table.astype(np.min_scalar_type(n)), axis=None, kind="stable")
+            ports %= d
+            ports += 1
+            return ports.reshape(n, d)
+
+        return _adopt(RotationMatrix, entries=table, _pairing=pairing)
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.matrix)) // 2
@@ -170,8 +182,11 @@ def rotation_from_adjacency(adj: AdjacencyMatrix) -> RotationMatrix:
     The map is made by one scan of the matrix, which also finds the degrees,
     and is cached on the matrix as a map's return ports are cached on the
     map: every call on the same matrix, and so both solvers, returns the
-    same map, and its validation report is cached on it in turn.  It keeps
-    8*n*d bytes beside the n^2 matrix for as long as the matrix lives.
+    same map, and its validation report is cached on it in turn.  It comes
+    paired by one stable sort of its heads, a radix sort in O(n*d) up to
+    65 536 vertices, run only when the map is validated or solved.  It
+    keeps 8*n*d bytes beside the n^2 matrix for as long as the matrix
+    lives, and 8*n*d more for its return ports once they are found.
     """
     return adj._scan
 

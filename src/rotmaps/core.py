@@ -9,15 +9,20 @@ A map is *consistent* when every vertex receives its d incoming edges under
 d pairwise distinct ports, which for a valid map is the same as every column
 of the matrix form being a permutation of the vertex set.
 
-One sort of the n*d edge keys recognizes a valid map and finds its return
-ports (:func:`_pair`), in O(n*d*log(n*d)) time and O(n*d) memory; both are
-cached on the map, so each map is paired once.  That sort alone decides
-validity: a table it refuses is sorted once more, by its row keys, only to
-find its defects (:func:`_check`).  A report counts its defects at once and
-names them on first read: its ``violations`` keep the located defects as
-arrays, answer ``len`` and ``bool`` from their counts, and build every
-message through one builder (:func:`_violations`) only when iterated or
-indexed, so a caller that asks only whether a map is consistent formats none.
+A map the package builds comes paired: its producer (a generator, the
+product, the row scan or a solver) hands over, with its table, a function
+that finds its return ports in O(n*d) from what the producer knows.  Any
+other table, from the public constructor or a ``.rot`` file, is sorted:
+one sort of its n*d edge keys recognizes a valid map and finds its return
+ports (:func:`_pair`), in O(n*d*log(n*d)) time and O(n*d) memory, and that
+sort alone decides validity.  Either way the ports are cached on the map,
+so each map is paired once.  A table the sort refuses is sorted once more,
+by its row keys, only to find its defects (:func:`_check`).  A report
+counts its defects at once and names them on first read: its
+``violations`` keep the located defects as arrays, answer ``len`` and
+``bool`` from their counts, and build every message through one builder
+(:func:`_violations`) only when iterated or indexed, so a caller that asks
+only whether a map is consistent formats none.
 
 All vertex ids and ports are 1-indexed, here and in every file format.
 """
@@ -90,13 +95,16 @@ class RotationMatrix:
     :func:`validate` for the structural checks (self-loops, row
     duplicates, symmetry).  The constructor checks every table it is
     given; the package's own producers (the generators, the product, the
-    row scan and the solvers) hand over tables they have proven well
-    formed, fresh and of its dtype, which are frozen and adopted as they
-    are, without those checks.
+    row scan and the solvers) hand over tables they have proven valid maps,
+    fresh and of its dtype, which are frozen and adopted as they are,
+    without those checks, each with the pairing that gives its return ports.
     """
 
     entries: np.ndarray
     _dtype = np.int64
+    # a producer's zero-argument function returning the return ports of its
+    # valid map, called once in place of the sort of :func:`_pair`
+    _pairing = None
 
     def __post_init__(self):
         arr = _array(self.entries, "rotation table")
@@ -128,7 +136,8 @@ class RotationMatrix:
 
     @functools.cached_property
     def _ports(self) -> np.ndarray | None:
-        ports = _pair(self.entries)
+        pairing = self.__dict__.pop("_pairing", None)  # called once, then let go
+        ports = _pair(self.entries) if pairing is None else pairing()
         if ports is not None:
             ports.setflags(write=False)
         return ports
@@ -139,6 +148,10 @@ class RotationMatrix:
         defects = _Defects(([] if valid else _check(self.entries)) + _column_repeats(self.entries))
         return ValidationReport(is_valid_map=valid, is_consistent=valid and not defects,
                                 violations=defects)
+
+    def __getstate__(self):
+        # a pairing is a closure, which pickle cannot take: a copy is sorted instead
+        return {name: value for name, value in self.__dict__.items() if name != "_pairing"}
 
     def __repr__(self):
         return f"RotationMatrix(num_vertices={self.num_vertices}, degree={self.degree})"
@@ -239,10 +252,13 @@ def validate(rot: RotationMatrix) -> ValidationReport:
     as v appears in row w.  It is additionally consistent when every column
     is a permutation of the vertex set, i.e. no vertex repeats in a column.
 
-    One sort of the n*d edge keys recognizes a valid map and pairs its darts,
-    and its column repeats are counted in one pass; a table that is not one
-    has its row keys sorted too, to find its defects.  Either way this costs
-    O(n*d*log(n*d)) time in O(n*d) memory, once: the report is cached on the map.
+    A map the package built comes paired by its producer, and only its
+    column repeats are counted, in one O(n*d) pass.  Any other table, from
+    the constructor or a ``.rot`` file, is sorted: one sort of its n*d edge
+    keys recognizes a valid map and pairs its darts, and a table that is not
+    one has its row keys sorted too, to find its defects, in
+    O(n*d*log(n*d)) time and O(n*d) memory.  Either way this is done once:
+    the report is cached on the map.
     The defects are counted here and named only when the report's
     ``violations`` are first iterated or indexed; ``len`` of them, and the
     verdicts, format no message.
@@ -350,8 +366,9 @@ def to_full_form(rot: RotationMatrix) -> np.ndarray:
     The partner of dart (v, i) is (w, j) with w = ``rot.entries[v-1, i-1]``:
     row w lists v at port j.  Requires a valid map; there the partner port
     is unique because v appears exactly once in row w, and the pairing is an
-    involution on all darts.  The ports come from the sort of edge keys that
-    validates the map and are cached on it: this call copies nothing.
+    involution on all darts.  The ports come from the pairing that validates
+    the map, its producer's or the sort of edge keys, and are cached on it:
+    this call copies nothing.
     """
     _require_valid(rot)
     return rot._ports
@@ -372,6 +389,8 @@ def _adopt(cls, **fields):
     on which those checks could not fail.  Each array field must be a fresh
     C-contiguous array of the class's ``_dtype`` that owns its data, as
     :func:`_frozen` would keep; it is made read-only and adopted as it is.
+    A :class:`RotationMatrix` is handed its valid map's ``_pairing`` too: a
+    function of no arguments returning a fresh int64 table of return ports.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():

@@ -3,9 +3,10 @@
 Each generator fixes one orientation convention once and for all, so the
 tables it emits are reproducible byte for byte.  Each checks its own
 parameter domain, and rejects a table of more than MAX_DARTS darts before
-anything is allocated.  Every table is in range by construction, so its map
-adopts it without the constructor's checks.  The command line maps family
-names to generators.
+anything is allocated.  Every table is a valid map by construction, so its
+map adopts it without the constructor's checks, paired in closed form: in
+each family a dart's return port depends on its port alone (:func:`_ports`).
+The command line maps family names to generators.
 """
 
 from __future__ import annotations
@@ -25,8 +26,13 @@ __all__ = [
 ]
 
 # Q20 has 2**20 vertices and 20 * 2**20 int64 entries (168 MB), and validating
-# it sorts as many keys again; each further dimension more than doubles both.
+# it makes as many return ports again; each further dimension more than doubles both.
 MAX_HYPERCUBE_DIMENSION = 20
+
+
+def _ports(n: int, *ports: int):
+    """The pairing of an n-vertex map whose every row has the return ports ``ports``."""
+    return lambda: np.tile(np.array(ports, dtype=np.int64), (n, 1))
 
 
 def cycle(n: int) -> RotationMatrix:
@@ -42,7 +48,7 @@ def cycle(n: int) -> RotationMatrix:
     succ[-1] = 1
     pred -= 1
     pred[0] = n
-    return _adopt(RotationMatrix, entries=table)
+    return _adopt(RotationMatrix, entries=table, _pairing=_ports(n, 2, 1))
 
 
 def complete(n: int) -> RotationMatrix:
@@ -58,7 +64,8 @@ def complete(n: int) -> RotationMatrix:
     table = v - 1 + i  # filled in place and adopted by the map
     table %= n
     table += 1
-    return _adopt(RotationMatrix, entries=table)
+    # port i steps i places forward, and n - i steps back
+    return _adopt(RotationMatrix, entries=table, _pairing=_ports(n, *range(n - 1, 0, -1)))
 
 
 def complete_bipartite(n: int) -> RotationMatrix:
@@ -75,7 +82,9 @@ def complete_bipartite(n: int) -> RotationMatrix:
     left = n + (v + k - 2) % n + 1
     right = (v + k - 2) % n + 1
     table = np.vstack([left, right])
-    return _adopt(RotationMatrix, entries=table)
+    # port k moves k - 1 places around the other side, and 1 - k moves back
+    pairing = _ports(2 * n, *((1 - k) % n + 1 for k in range(1, n + 1)))
+    return _adopt(RotationMatrix, entries=table, _pairing=pairing)
 
 
 def generalized_petersen(n: int, s: int) -> RotationMatrix:
@@ -96,13 +105,13 @@ def generalized_petersen(n: int, s: int) -> RotationMatrix:
     outer = np.column_stack([j % n + 1, n + j, (j - 2) % n + 1])
     inner = np.column_stack([n + (j - 1 + s) % n + 1, j, n + (j - 1 - s) % n + 1])
     table = np.vstack([outer, inner])
-    return _adopt(RotationMatrix, entries=table)
+    return _adopt(RotationMatrix, entries=table, _pairing=_ports(2 * n, 3, 2, 1))
 
 
 def k2() -> RotationMatrix:
     """The single edge on two vertices: the unique 1-regular map."""
     table = np.array([[2], [1]], dtype=np.int64)
-    return _adopt(RotationMatrix, entries=table)
+    return _adopt(RotationMatrix, entries=table, _pairing=_ports(2, 1))
 
 
 def hypercube(m: int) -> RotationMatrix:
@@ -122,5 +131,5 @@ def hypercube(m: int) -> RotationMatrix:
     v = np.arange(2**m, dtype=np.int64)[:, None]
     table = v ^ (1 << np.arange(m, dtype=np.int64))  # a fresh table, adopted by the map
     table += 1
-    return _adopt(RotationMatrix, entries=table)
+    return _adopt(RotationMatrix, entries=table, _pairing=_ports(2**m, *range(1, m + 1)))
 

@@ -13,6 +13,12 @@ When both factor maps are consistent the product map is consistent too:
 every G-column restricted to a cloud is a shifted permutation, and every
 bridge column permutes whole clouds because the matching H-column is a
 permutation.
+
+The same two rules pair the product's darts from its factors' return
+ports, which validating the factors has cached: a port i <= d_G comes back
+under G's return port, and a bridge port d_G + k under d_G plus H's.  The
+product is adopted with that pairing, run only if its ports are asked for,
+so a product is never sorted.
 """
 
 from __future__ import annotations
@@ -64,4 +70,12 @@ def cartesian_rotation(inner: RotationMatrix, outer: RotationMatrix) -> Rotation
     np.add(inner.entries[None], vg * np.arange(vh)[:, None, None], out=clouds[..., :dg])
     np.add(np.arange(1, vg + 1)[None, :, None], vg * (outer.entries[:, None, :] - 1),
            out=clouds[..., dg:])
-    return _adopt(RotationMatrix, entries=table)
+
+    def pairing():
+        ports = np.empty_like(table)
+        clouds = ports.reshape(vh, vg, -1)
+        clouds[..., :dg] = inner._ports
+        np.add(outer._ports[:, None, :], dg, out=clouds[..., dg:])
+        return ports
+
+    return _adopt(RotationMatrix, entries=table, _pairing=pairing)

@@ -20,6 +20,11 @@ each other:
   Its tables are label-major, one list per label and side, so a solve
   holds O(d) table lists rather than O(n) and the tables alone do not
   trigger a run of the cyclic garbage collector.
+
+Each solution permutes the rows of the row-scan table, so it is paired
+without a sort: its darts' partners are the scan's, relabelled
+(:func:`_check_labels`), and only its column repeats are counted to find
+it consistent.
 """
 
 from __future__ import annotations
@@ -50,9 +55,9 @@ def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET)
     """
     if budget < 1:
         raise ParameterError(f"backtracking budget must be at least 1, got {budget}")
-    scan = rotation_from_adjacency(adjacency).entries
-    n, d = scan.shape
-    heads = (scan - 1).ravel().tolist()  # arc k leaves vertex k // d and enters heads[k]
+    scan = rotation_from_adjacency(adjacency)
+    n, d = scan.entries.shape
+    heads = (scan.entries - 1).ravel().tolist()  # arc k leaves vertex k // d and enters heads[k]
     out_used = [0] * n  # bitmask of labels leaving each vertex
     in_used = [0] * n   # bitmask of labels entering each vertex
     # labels[k]: the label on arc k, or 0 while the search has not reached it;
@@ -86,21 +91,33 @@ def solve_backtracking(adjacency: AdjacencyMatrix, budget: int = DEFAULT_BUDGET)
             out_used[pos // d] &= ~bit
             in_used[heads[pos]] &= ~bit
 
-    entries = np.empty_like(scan)
-    entries[np.arange(n).repeat(d), np.array(labels) - 1] = scan.ravel()
-    return _adopt(RotationMatrix, entries=entries)  # each row permutes its row-scan row
+    entries = np.empty_like(scan.entries)
+    entries[np.arange(n).repeat(d), np.array(labels) - 1] = scan.entries.ravel()
+    return _check_labels(scan, entries)
 
 
-def _check_labels(scan: np.ndarray, entries: np.ndarray) -> RotationMatrix:
-    """The map of ``entries`` if each row, sorted, is its row-scan row and it is consistent.
+def _check_labels(scan: RotationMatrix, entries: np.ndarray) -> RotationMatrix:
+    """The map of ``entries`` if each row permutes its row in ``scan`` and it is consistent.
 
-    :func:`validate` pairs the map by one sort of its n*d edge keys and caches its report.
+    ``scan`` is the row-scan map, whose rows increase.  Arc k of row u in the
+    scan sits at column lab[u, k] of ``entries``, so the partner of dart
+    (u, lab[u, k]) is (w, lab[w, P[u, k] - 1]), where w and P are the arc's
+    head and return port in the scan.  The map is adopted with that
+    relabelling as its pairing, and :func:`validate` counts its column repeats.
     """
-    if np.array_equal(np.sort(entries, axis=1), scan):
-        rot = _adopt(RotationMatrix, entries=entries)  # in range: its rows sort to the scan's
+    lab = np.argsort(entries, axis=1)
+    if np.array_equal(np.take_along_axis(entries, lab, axis=1), scan.entries):
+
+        def pairing():
+            back = (scan.entries - 1) * lab.shape[1] + scan._ports - 1  # (w, P[u, k] - 1)
+            ports = np.empty(lab.shape, dtype=np.int64)
+            np.put_along_axis(ports, lab, lab.take(back) + 1, axis=1)
+            return ports
+
+        rot = _adopt(RotationMatrix, entries=entries, _pairing=pairing)
         if validate(rot).is_consistent:
             return rot
-    raise RotmapsError("recolouring did not label every arc exactly once")
+    raise RotmapsError("the solver did not label every arc exactly once")
 
 
 def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
@@ -121,52 +138,61 @@ def solve_matching(adjacency: AdjacencyMatrix) -> RotationMatrix:
     walk past that raises RotmapsError instead of spinning.  The scan
     order is fixed, so the output is a deterministic function of the input.
 
-    The tables are label-major: ``out[c][u]`` is the head of u's arc
-    labelled c and ``into[c][w]`` its tail, 2d lists in all, so no
-    collection runs for them.  A walk fetches the four lists of its two
-    labels once, and each step swaps two cells in two of them.
+    The tables are label-major and keyed by each label's bit, 1 << c for
+    label c + 1: ``tables[bit]`` is the pair (out, into), where ``out[u]``
+    is the head of u's arc with that label and ``into[w]`` its tail, 2d
+    lists in all, so no collection runs for them, and no arc turns a bit
+    into a label number.  A walk fetches the four lists of its two labels
+    once; each step reads one cell of each side, since the other label
+    there is the arc it came along, and writes two.
     """
-    scan = rotation_from_adjacency(adjacency).entries
-    n, d = scan.shape
-    out = [[-1] * n for _ in range(d)]  # out[c][u]: head of u's arc labelled c
-    into = [[-1] * n for _ in range(d)]  # into[c][w]: tail of w's arc labelled c
+    scan = rotation_from_adjacency(adjacency)
+    n, d = scan.entries.shape
+    # tables[bit] = (out, into): out[u] is the head of u's arc labelled bit, into[w] its tail
+    tables = {1 << c: ([-1] * n, [-1] * n) for c in range(d)}
     in_free = [(1 << d) - 1] * n  # bitmask of labels not yet entering each vertex
 
-    for u, heads in enumerate((scan - 1).tolist()):
+    for u, heads in enumerate((scan.entries - 1).tolist()):
         # rows before u are complete and rows after it empty, and no path
         # reaches u, so u's free labels and its out-arcs stay here meanwhile
         free_u = (1 << d) - 1  # labels not yet leaving u
         for w in heads:
             in_w = in_free[w]  # a path from w never comes back: only its swap changes this
-            free = free_u & in_w or free_u  # the labels free at both ends, else at u
-            bit = free & -free  # the label taken, as a bit
-            a = bit.bit_length() - 1
-            if not in_w & bit:
-                b_bit = in_w & -in_w
-                b = b_bit.bit_length() - 1
+            free = free_u & in_w  # the labels free at both ends
+            if free:
+                bit = free & -free  # the label taken, as a bit
+            else:
+                bit = free_u & -free_u  # a, the lowest label free at u
+                b_bit = in_w & -in_w  # b, the lowest free at w
                 # swap a and b at each vertex of the path while walking it; inner
                 # vertices keep both labels, the two ends trade one for the other
                 swap = bit | b_bit
                 in_w ^= swap
-                in_a, in_b, out_a, out_b = into[a], into[b], out[a], out[b]
-                y = w
+                out_a, in_a = tables[bit]
+                out_b, in_b = tables[b_bit]
+                y, t = w, -1  # t: the tail of the arc labelled b into y, none at w
                 for _ in range(n):  # a path meets each of the n in-sides at most once
                     x = in_a[y]
-                    in_a[y], in_b[y] = in_b[y], x
+                    in_a[y] = t
+                    in_b[y] = x
                     if x < 0:
                         in_free[y] ^= swap
                         break
-                    # x comes before u, so its row is complete and has an arc labelled b
-                    y = out_b[x]
-                    out_a[x], out_b[x] = y, out_a[x]
+                    # x comes before u, so its row is complete and has an arc labelled
+                    # b; its arc labelled a enters y
+                    out_a[x] = z = out_b[x]
+                    out_b[x] = y
+                    y, t = z, x
                 else:
                     raise RotmapsError(f"alternating path from vertex {w + 1} crossed "
                                        f"more than {2 * n} arcs")
-            out[a][u] = w
-            into[a][w] = u
+            out_c, into_c = tables[bit]
+            out_c[u] = w
+            into_c[w] = u
             free_u ^= bit
             in_free[w] = in_w ^ bit
 
-    entries = np.array(out, dtype=np.int64).T.copy()  # label-major to one row per vertex
+    # label-major, in label order, to one row per vertex
+    entries = np.array([out for out, _ in tables.values()], dtype=np.int64).T.copy()
     entries += 1
     return _check_labels(scan, entries)

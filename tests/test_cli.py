@@ -3,6 +3,7 @@
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from rotmaps.families import MAX_DARTS, MAX_HYPERCUBE_DIMENSION
 from rotmaps.io import MAX_ADJ_VERTICES, format_adj, format_perm, format_rot, parse_rot
 
 C5_FILE = "5 2\n2 5\n3 1\n4 2\n5 3\n1 4\n"
+DATA = Path(__file__).parent / "data"
 
 
 def write(tmp_path, name, text):
@@ -271,6 +273,25 @@ class TestAdjacencyCommands:
         out = tmp_path / "solved.rot"
         assert main(["solve", adj, "--method", method, "-o", str(out)]) == 0
         assert main(["verify", str(out)]) == 0
+
+    @pytest.mark.parametrize("graph, method", [
+        ("petersen", "matching"), ("petersen", "backtrack"),
+        ("torus-relabelled", "matching"), ("torus", "backtrack"),
+    ])
+    def test_solution_matches_the_committed_output(self, tmp_path, graph, method):
+        # tests/data holds each solution byte for byte; the installed-package CI
+        # step compares the same outputs (the relabelled torus exhausts the
+        # backtracking budget, so the backtracker solves the torus as generated)
+        torus = cartesian_rotation(cycle(12), cycle(10))
+        name = np.random.default_rng(1210).permutation(torus.num_vertices) + 1
+        relabelled = np.empty_like(torus.entries)
+        relabelled[name - 1] = name[torus.entries - 1]
+        rot = {"petersen": generalized_petersen(5, 2), "torus": torus,
+               "torus-relabelled": RotationMatrix(relabelled)}[graph]
+        adj = write(tmp_path, f"{graph}.adj", format_adj(adjacency_from_rotation(rot)))
+        out = tmp_path / "solved.rot"
+        assert main(["solve", adj, "--method", method, "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"{graph}-{method}.rot").read_bytes()
 
     def test_solve_c3000(self, tmp_path):
         # deep alternating paths: the matching solver must not recurse

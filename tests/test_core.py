@@ -18,6 +18,7 @@ from rotmaps import (
     cartesian_rotation,
     complete,
     cycle,
+    hypercube,
     is_consistent,
     to_full_form,
     validate,
@@ -327,6 +328,16 @@ class TestFullForm:
     def test_requires_valid_map(self):
         with pytest.raises(InvalidRotationMapError):
             to_full_form(RotationMatrix([[1], [2]]))
+
+    @pytest.mark.parametrize("make", [lambda: cycle(5),
+                                      lambda: cartesian_rotation(cycle(3), hypercube(2))])
+    def test_pickled_before_and_after_pairing(self, make):
+        # a map is pickled without its producer's pairing; the copy is paired by the sort
+        rot = make()
+        for _ in range(2):
+            copy = pickle.loads(pickle.dumps(rot))
+            assert copy == rot
+            assert np.array_equal(to_full_form(copy), to_full_form(rot))
 
     @pytest.mark.parametrize("name,rot", CORPUS, ids=CORPUS_IDS)
     def test_involution_and_round_trip(self, name, rot):

@@ -20,7 +20,10 @@ The references share no code with the byte pass that reads and refuses
 the wrong defect, fails these comparisons.  Canonical text, and CRLF .rot
 and .perm text, must be read without the step for other layouts.
 ``solve_matching`` must write the same ``.rot`` text as
-``reference_solve_matching``, the per-arc loop it replaced.
+``reference_solve_matching``, the per-arc loop it replaced.  The maps the
+package builds come paired by their producers: with the sort of
+``core._pair`` refused, their ports, reports and shifts must still be
+found, and equal those of a copy that the sort pairs.
 """
 
 import dataclasses
@@ -63,6 +66,7 @@ from rotmaps import (
     validate,
     verify_unitary,
 )
+from rotmaps import core
 from rotmaps.core import _adopt
 from rotmaps.io import (
     _format_rows,
@@ -248,8 +252,6 @@ REFUSED_TABLES = {
 
 @pytest.mark.parametrize("table", REFUSED_TABLES.values(), ids=REFUSED_TABLES)
 def test_pairing_refuses_invalid_tables(table):
-    from rotmaps import core
-
     assert core._pair(np.array(table)) is None
     report = validate(RotationMatrix(table))
     assert not report.is_valid_map
@@ -478,7 +480,8 @@ def test_shift_is_an_involutive_permutation(rot):
 # The tables the package builds itself reach their type through core._adopt,
 # without the constructor's checks.  Each must be handed over as a table the
 # type adopts as it is: read-only, C-contiguous, owning its data and of the
-# class's dtype; and the public constructor must take it unchanged.
+# class's dtype; and the public constructor must take it unchanged.  A map
+# must come with its pairing, whose ports must be those the sort finds.
 ADOPTERS = [module for name, module in sorted(sys.modules.items())
             if name.startswith("rotmaps.") and getattr(module, "_adopt", None) is _adopt]
 
@@ -493,6 +496,10 @@ def adopted(make):
             if isinstance(value, np.ndarray):
                 assert getattr(obj, name) is value, f"{cls.__name__}.{name} was copied"
                 handed.append(value)
+        if cls is RotationMatrix:
+            ports = fields["_pairing"]()
+            assert ports.dtype == np.int64 and ports.flags.c_contiguous
+            assert np.array_equal(ports, core._pair(obj.entries.copy()))
         return obj
 
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
@@ -543,6 +550,41 @@ def test_tables_built_from_families_are_adopted_as_checked(first, second):
         lambda: adjacency_from_rotation(prod))
     shift = adopted(lambda: build_shift(prod))
     assert adopted(lambda: parse_perm(format_perm(shift))) == shift
+
+
+def sort_ran(*args):
+    raise AssertionError("a map the package built was sorted")
+
+
+def assert_paired_as_sorted(rot):
+    """Ports, report and shift of ``rot`` found without the sort, equal to a sorted copy's."""
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", InconsistentInputWarning)
+        patch.setattr(core, "_pair", sort_ran)
+        ports, report, shift = to_full_form(rot), validate(rot), build_shift(rot)
+        copy = RotationMatrix(rot.entries.copy())
+        patch.undo()
+        assert np.array_equal(ports, to_full_form(copy))
+        assert report == validate(copy)
+        assert shift == build_shift(copy)
+
+
+@PROPERTY
+@given(regular_graphs())
+def test_maps_built_from_a_graph_come_paired(adj):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_pair", sort_ran)
+        maps = rotation_from_adjacency(adj), solve_matching(adj), solve_backtracking(adj)
+    for rot in maps:
+        assert_paired_as_sorted(rot)
+
+
+@pytest.mark.parametrize("second", FACTORS.values(), ids=FACTORS)
+@pytest.mark.parametrize("first", FAMILIES.values(), ids=FAMILIES)
+def test_maps_built_from_families_come_paired(first, second):
+    r1, r2 = first(), second()
+    for rot in (r1, r2, cartesian_rotation(r1, r2)):
+        assert_paired_as_sorted(rot)
 
 
 def fallback_ran(*args):

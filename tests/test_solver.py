@@ -24,7 +24,9 @@ from rotmaps import (
     rotation_from_adjacency,
     solve_backtracking,
     solve_matching,
+    to_full_form,
 )
+from rotmaps.core import _pair
 from rotmaps.solver import _check_labels
 
 K3_ADJ = AdjacencyMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -153,10 +155,11 @@ def test_matching_walk_past_2n_arcs_raises(monkeypatch):
 
 
 class TestLabelCheck:
-    C4_SCAN = rotation_from_adjacency(adjacency_from_rotation(cycle(4))).entries
+    C4_SCAN = rotation_from_adjacency(adjacency_from_rotation(cycle(4)))
 
     def test_consistent_table_passes(self):
-        _check_labels(self.C4_SCAN, np.array([[2, 4], [3, 1], [4, 2], [1, 3]]))
+        rot = _check_labels(self.C4_SCAN, np.array([[2, 4], [3, 1], [4, 2], [1, 3]]))
+        assert np.array_equal(to_full_form(rot), _pair(rot.entries.copy()))
 
     @pytest.mark.parametrize("table", [
         [[3, 4], [4, 1], [1, 2], [2, 3]],  # (1, 3) is not an arc
